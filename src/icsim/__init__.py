@@ -11,7 +11,6 @@ from .analytics import (
 from .channel import (
     CorrelatedBurst,
     DistanceIID,
-    LinkContext,
     Perfect,
     Scripted,
     burst_length_pmf,
@@ -50,8 +49,6 @@ from .sim import (
     VehicleSpec,
     check_liveness,
     check_safety,
-    crossing_stats,
-    mixed_mode_window,
     run_scenario,
 )
 

@@ -16,14 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import (
-    ChannelModel,
-    CorrelatedBurst,
-    DistanceIID,
-    Perfect,
-    burst_length_pmf,
-    pdr,
-)
+from .channel import ChannelModel, burst_length_pmf
 from .protocol import closed_form_enter_delay, simulate_enter_round
 
 #: Fitted delivery-ratio decay rates per environment, 1/m.
@@ -41,15 +34,6 @@ class PdrSample:
     def __post_init__(self):
         if not (0 <= self.pdr <= 1):
             raise ValueError("pdr must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DelayCurvePoint:
-    distance: float
-    expected_delay: float
-    environment: str
-    xi: float | None
-    F: int
 
 
 def expected_enter_delay(p: float, F: int, xi: float | None = None) -> float:
@@ -122,22 +106,16 @@ def monte_carlo_enter_delay(
     """Sample mean and standard error of the two-vehicle consensus delay.
 
     Each trial draws one initial receive-failure burst at a single receiver
-    from the burst-length law of the channel model, conditioned on the burst
+    from the burst-length law of the channel model (its ``burst_law``; a
+    scripted channel has none and raises ``TypeError``), conditioned on the burst
     not exceeding ``F`` (the same truncation the closed-form average
     normalizes over). The per-burst delay is read off a simulation of the
     actual protocol machine, not the closed form, so the two delay routes
     stay independent.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if isinstance(model, Perfect):
-        return 3.0, 0.0
-    if isinstance(model, DistanceIID):
-        p, xi = pdr(d, model.lam), None
-    elif isinstance(model, CorrelatedBurst):
-        p, xi = pdr(d, model.lam), model.xi
-    else:
-        raise TypeError(f"no burst-length law for channel model {model!r}")
+    if n_trials < 1 or F < 0:
+        raise ValueError("need n_trials >= 1 and F >= 0")
+    p, xi = model.burst_law(d)
     if p <= 0:
         raise ValueError("zero-delivery channel never completes a round")
     weights = np.array([burst_length_pmf(p, xi, m) for m in range(F + 1)])
@@ -150,33 +128,3 @@ def monte_carlo_enter_delay(
     mean = float(delays.mean())
     stderr = float(delays.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
     return mean, stderr
-
-
-def delay_curve(
-    lam: float,
-    distances: list[float],
-    F: int,
-    xi: float | None,
-    environment: str,
-) -> list[DelayCurvePoint]:
-    """Expected-delay curve over distance for one environment and one
-    correlation setting."""
-    return [
-        DelayCurvePoint(
-            distance=d,
-            expected_delay=expected_enter_delay(pdr(d, lam), F, xi),
-            environment=environment,
-            xi=xi,
-            F=F,
-        )
-        for d in distances
-    ]
-
-
-def v2v_probability_curve(
-    lam: float,
-    d: float,
-    F_values: list[int],
-    xi: float | None,
-) -> list[float]:
-    return [v2v_probability(pdr(d, lam), F, xi) for F in F_values]

@@ -2,8 +2,13 @@
 
 Four variants: a perfect channel, distance-dependent i.i.d. losses with an
 exponential delivery-ratio law, a two-state correlated burst model, and a
-scripted loss table for exact reproduction of failure scenarios. Burst-length
-probability laws used by the analytics live here too.
+scripted loss table for exact reproduction of failure scenarios. Each model
+class carries its own behaviour: ``delivers``, its delivery law for one
+receiver and slot; ``burst_law``, the burst-length parameters the analytics
+average over; its JSON form (``to_dict``, read back through
+``CHANNEL_TYPES``); and ``uses_rng``, whether it draws random numbers.
+``sample_delivery`` is the one delivery step of both exchange loops.
+Burst-length probability laws used by the analytics live here too.
 """
 
 from __future__ import annotations
@@ -21,9 +26,30 @@ def pdr(d: float, lam: float) -> float:
     return math.exp(-lam * d)
 
 
+def _check_rate(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("decay rate must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class Perfect:
     """Every message is delivered."""
+
+    TYPE = "perfect"
+    uses_rng = False
+
+    def delivers(self, receiver, slot, links, prior_lost, rng) -> list[bool]:
+        return [True] * len(links)
+
+    def burst_law(self, d: float) -> tuple[float, float | None]:
+        return 1.0, None
+
+    def to_dict(self) -> dict:
+        return {"type": self.TYPE}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -31,10 +57,25 @@ class DistanceIID:
     """Independent per-slot losses; delivery probability e^(-lam*d)."""
 
     lam: float
+    TYPE = "distance_iid"
+    uses_rng = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("decay rate must be nonnegative")
+        _check_rate(self.lam)
+
+    def delivers(self, receiver, slot, links, prior_lost, rng) -> list[bool]:
+        """One independent draw per link, in link order."""
+        return [rng.random() < pdr(d, self.lam) for _, d in links]
+
+    def burst_law(self, d: float) -> tuple[float, float | None]:
+        return pdr(d, self.lam), None
+
+    def to_dict(self) -> dict:
+        return {"type": self.TYPE, "lambda": self.lam}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(lam=float(d["lambda"]))
 
 
 @dataclass(frozen=True)
@@ -44,12 +85,29 @@ class CorrelatedBurst:
 
     lam: float
     xi: float
+    TYPE = "correlated"
+    uses_rng = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("decay rate must be nonnegative")
+        _check_rate(self.lam)
         if not (0 <= self.xi < 1):
             raise ValueError("xi must be in [0, 1)")
+
+    def delivers(self, receiver, slot, links, prior_lost, rng) -> list[bool]:
+        """Receive omission is a receiver-side event: one draw per slot,
+        taken at the weakest (longest) link, decides every link."""
+        p_loss = self.xi if prior_lost else 1.0 - pdr(max(d for _, d in links), self.lam)
+        return [rng.random() >= p_loss] * len(links)
+
+    def burst_law(self, d: float) -> tuple[float, float | None]:
+        return pdr(d, self.lam), self.xi
+
+    def to_dict(self) -> dict:
+        return {"type": self.TYPE, "lambda": self.lam, "xi": self.xi}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(lam=float(d["lambda"]), xi=float(d["xi"]))
 
 
 @dataclass(frozen=True)
@@ -60,46 +118,59 @@ class Scripted:
 
     losses: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     all_lost: frozenset[int] = field(default_factory=frozenset)
+    TYPE = "scripted"
+    uses_rng = False
+
+    def delivers(self, receiver, slot, links, prior_lost, rng) -> list[bool]:
+        ok = receiver not in self.all_lost and (receiver, slot) not in self.losses
+        return [ok] * len(links)
+
+    def burst_law(self, d: float) -> tuple[float, float | None]:
+        raise TypeError(f"no burst-length law for channel model {self!r}")
+
+    def to_dict(self) -> dict:
+        return {
+            "type": self.TYPE,
+            "losses": sorted([u, s] for u, s in self.losses),
+            "all_lost": sorted(self.all_lost),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        losses = frozenset((int(u), int(s)) for u, s in d.get("losses", []))
+        return cls(losses=losses, all_lost=frozenset(int(u) for u in d.get("all_lost", [])))
 
 
 ChannelModel = Perfect | DistanceIID | CorrelatedBurst | Scripted
 
-
-@dataclass(frozen=True)
-class LinkContext:
-    """Per-delivery context: who is sending to whom, this slot, at what
-    distance, and whether the receiver's previous slot was lost."""
-
-    sender: int
-    receiver: int
-    distance: float
-    slot: int
-    prior_lost: bool = False
-
-    def __post_init__(self):
-        if self.distance < 0:
-            raise ValueError("distance must be nonnegative")
+#: JSON ``type`` tag -> channel model class.
+CHANNEL_TYPES = {m.TYPE: m for m in (Perfect, DistanceIID, CorrelatedBurst, Scripted)}
 
 
-def sample_delivery(model: ChannelModel, ctx: LinkContext, rng) -> bool:
-    """Whether one message crosses the link this slot.
+def sample_delivery(
+    model: ChannelModel,
+    receiver: int,
+    slot: int,
+    links: list[tuple[int, float]],
+    outboxes: dict[int, frozenset],
+    prior_lost: bool,
+    rng,
+) -> tuple[set, set, bool]:
+    """One receiver's slot of delivery from its in-range (sender, distance)
+    links: the messages it receives, those it loses, and its next
+    ``prior_lost`` (nothing received; unchanged when it has no link).
 
-    Deterministic given the rng stream state. The scripted variant ignores
-    the rng entirely; a lookup miss means delivered (the table is a loss
-    list).
+    Deterministic given the rng stream state; only models with ``uses_rng``
+    draw from it. Every message of one sender shares its link's fate.
     """
-    if isinstance(model, Perfect):
-        return True
-    if isinstance(model, DistanceIID):
-        return rng.random() < pdr(ctx.distance, model.lam)
-    if isinstance(model, CorrelatedBurst):
-        p_loss = model.xi if ctx.prior_lost else 1.0 - pdr(ctx.distance, model.lam)
-        return rng.random() >= p_loss
-    if isinstance(model, Scripted):
-        if ctx.receiver in model.all_lost:
-            return False
-        return (ctx.receiver, ctx.slot) not in model.losses
-    raise TypeError(f"unknown channel model {model!r}")
+    if not links:
+        return set(), set(), prior_lost
+    oks = model.delivers(receiver, slot, links, prior_lost, rng)
+    delivered: set = set()
+    lost: set = set()
+    for (sender, _), ok in zip(links, oks):
+        (delivered if ok else lost).update(outboxes[sender])
+    return delivered, lost, not any(oks)
 
 
 def burst_length_pmf(p: float, xi: float | None, m: int) -> float:

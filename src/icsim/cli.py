@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analytics import (
@@ -37,6 +39,11 @@ EXIT_LIVENESS = 3
 ENVIRONMENTS = (("open-field", DECAY_OPEN_FIELD), ("harsh", DECAY_HARSH))
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(what)
+
+
 def _parse_xi_set(text: str) -> list[float | None]:
     out: list[float | None] = []
     for token in text.split(","):
@@ -46,15 +53,19 @@ def _parse_xi_set(text: str) -> list[float | None]:
         if token in ("iid", "none"):
             out.append(None)
         else:
+            _require(0 <= float(token) < 1, f"xi must be in [0, 1), got {token}")
             out.append(float(token))
-    if not out:
-        raise ValueError("empty xi set")
+    _require(out, "empty xi set")
     return out
 
 
 def _distances(args) -> list[float]:
-    if args.d_step <= 0 or args.d_max < args.d_min:
-        raise ValueError("need d_min <= d_max and a positive d_step")
+    _require(
+        all(map(math.isfinite, (args.d_min, args.d_max, args.d_step)))
+        and 0 <= args.d_min <= args.d_max
+        and args.d_step > 0,
+        "need finite 0 <= d_min <= d_max and a positive d_step",
+    )
     out = []
     d = args.d_min
     while d <= args.d_max + 1e-9:
@@ -67,9 +78,9 @@ def cmd_simulate(args) -> int:
     try:
         scenario = resolve_scenario(args.scenario)
         if args.seed is not None:
-            scenario = _override(scenario, seed=args.seed)
+            scenario = replace(scenario, seed=args.seed)
         if args.F is not None:
-            scenario = _override(scenario, F=args.F)
+            scenario = replace(scenario, F=args.F)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -95,14 +106,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _override(scenario, **kw):
-    from dataclasses import replace
-
-    return replace(scenario, **kw)
-
-
 def cmd_sweep_delay(args) -> int:
     try:
+        _require(min(args.F, args.trials, args.seed) >= 0, "F, trials and seed must be >= 0")
         distances = _distances(args)
         xi_set = _parse_xi_set(args.xi)
     except ValueError as exc:
@@ -134,7 +140,7 @@ def cmd_sweep_delay(args) -> int:
                             else CorrelatedBurst(lam, xi)
                         )
                         mean, err = monte_carlo_enter_delay(
-                            model, d, args.F, args.trials, args.seed or 0
+                            model, d, args.F, args.trials, args.seed
                         )
                         row += [repr(mean), repr(err)]
                     writer.writerow(row)
@@ -145,9 +151,12 @@ def cmd_sweep_delay(args) -> int:
 def cmd_v2v_prob(args) -> int:
     try:
         xi_set = _parse_xi_set(args.xi)
-        if args.F_max < 0:
-            raise ValueError("F_max must be nonnegative")
+        _require(args.F_max >= 0, "F must be nonnegative")
         dists = [float(t) for t in args.d.split(",") if t.strip()]
+        _require(
+            all(math.isfinite(d) and d >= 0 for d in dists),
+            "distances must be finite and nonnegative",
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

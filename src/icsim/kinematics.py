@@ -110,6 +110,8 @@ class IntersectionGeometry:
     occupancy_table: dict[tuple[str, str], tuple[str, ...]] = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_s) and math.isfinite(self.w) and self.w > 0):
+            raise ValueError("geometry needs a finite x_s and a finite w above 0")
         table = {}
         for cl in APPROACH_LANES:
             for nl in EXIT_LANES:

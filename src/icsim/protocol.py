@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from .channel import Scripted, sample_delivery
 from .kinematics import (
     UNREACHABLE,
     Route,
@@ -71,17 +72,6 @@ def encode_message(msg: V2VMessage) -> str:
     if isinstance(msg, EnterMessage):
         return f"ENTER:{msg.uid}:{msg.clane}:{msg.nlane}:{msg.tau_mti!r}"
     return f"ACK:{msg.uid}"
-
-
-def decode_message(text: str) -> V2VMessage:
-    parts = text.split(":")
-    if parts[0] == "ENTER":
-        return EnterMessage(
-            uid=int(parts[1]), clane=parts[2], nlane=parts[3], tau_mti=float(parts[4])
-        )
-    if parts[0] == "ACK":
-        return AckMessage(uid=int(parts[1]))
-    raise ValueError(f"unknown message record {text!r}")
 
 
 @dataclass
@@ -142,7 +132,6 @@ class ProtocolState:
     own_enter: EnterMessage | None = None
     ack_sent: bool = False
     resend_next: str = "E"
-    v2v_banned: bool = False
 
     def reset_round(self, peers: set[int], own_enter: EnterMessage) -> None:
         """Start a fresh ENTER round against ``peers``."""
@@ -295,7 +284,6 @@ def _register_failure(
     state.f += 1
     if state.f > state.F:
         state.mode = Mode.SD_FALLBACK
-        state.v2v_banned = True
         io.action = Action.SWITCH_TO_SD
         return state, io
     out: set[V2VMessage] = set()
@@ -410,8 +398,9 @@ def simulate_enter_round(
     max_slots: int | None = None,
     uids: tuple[int, ...] | None = None,
 ) -> EnterRoundResult:
-    """Run a bare ENTER round: every vehicle starts in the same slot and the
-    channel loses exactly the (receiver uid, slot) pairs in ``losses``.
+    """Run a bare ENTER round: every vehicle starts in the same slot and a
+    ``Scripted`` channel loses exactly the (receiver uid, slot) pairs in
+    ``losses``, delivered by the engine's own ``sample_delivery``.
 
     Slots count from 1 (the first ENTER transmission). Message content is
     synthetic; only the exchange dynamics matter here.
@@ -437,6 +426,7 @@ def simulate_enter_round(
         )
         states[uid] = st
 
+    channel = Scripted(losses=frozenset(losses))
     mainctrl: dict[int, int | None] = {u: None for u in uids}
     fallback: dict[int, int | None] = {u: None for u in uids}
     log: list[dict] = []
@@ -466,17 +456,10 @@ def simulate_enter_round(
                 }
             )
         for uid in uids:
-            if states[uid].mode is not Mode.V2V_ENTER:
-                pending[uid] = frozenset()
-                continue
-            if (uid, slot) in losses:
-                pending[uid] = frozenset()
-                continue
-            delivered = set()
-            for sender, out in outboxes.items():
-                if sender != uid:
-                    delivered |= out
-            pending[uid] = frozenset(delivered)
+            if states[uid].mode is Mode.V2V_ENTER:
+                links = [(sender, 0.0) for sender in outboxes if sender != uid]
+                got, _, _ = sample_delivery(channel, uid, slot, links, outboxes, False, None)
+                pending[uid] = frozenset(got)
         if all(states[u].mode is not Mode.V2V_ENTER for u in uids):
             break
 

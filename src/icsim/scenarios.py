@@ -18,9 +18,10 @@ Schema (version 1)::
                     "x": 62.0, "v": 13.0, "a": 0.0, "dx_bound": 0.0}]
     }
 
-The bundled names (``fig5a`` .. ``fig5d``, ``allloss``) reproduce the four
-scripted failure scenarios and a total-blackout run; they are also shipped
-as JSON files under ``icsim/data``.
+The bundled scenarios are the files ``icsim/data/<name>.scenario.json``,
+each in the form ``save_scenario`` writes: ``fig5a`` .. ``fig5d`` reproduce
+the four scripted failure scenarios and ``allloss`` is a total-blackout run.
+``BUNDLED`` maps each name to a one-line description.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .channel import ChannelModel, CorrelatedBurst, DistanceIID, Perfect, Scripted
+from .channel import CHANNEL_TYPES, ChannelModel
 from .kinematics import IntersectionGeometry, Route
 from .sim import Scenario, ScenarioError, VehicleSpec
 
@@ -45,34 +46,17 @@ _PARAM_FIELDS = (
 
 
 def channel_from_dict(d: dict) -> ChannelModel:
-    kind = d.get("type")
-    if kind == "perfect":
-        return Perfect()
-    if kind == "distance_iid":
-        return DistanceIID(lam=float(d["lambda"]))
-    if kind == "correlated":
-        return CorrelatedBurst(lam=float(d["lambda"]), xi=float(d["xi"]))
-    if kind == "scripted":
-        losses = frozenset((int(u), int(s)) for u, s in d.get("losses", []))
-        all_lost = frozenset(int(u) for u in d.get("all_lost", []))
-        return Scripted(losses=losses, all_lost=all_lost)
-    raise ScenarioError(f"unknown channel type {kind!r}")
+    model = CHANNEL_TYPES.get(d.get("type"))
+    if model is None:
+        raise ScenarioError(f"unknown channel type {d.get('type')!r}")
+    return model.from_dict(d)
 
 
-def channel_to_dict(model: ChannelModel) -> dict:
-    if isinstance(model, Perfect):
-        return {"type": "perfect"}
-    if isinstance(model, DistanceIID):
-        return {"type": "distance_iid", "lambda": model.lam}
-    if isinstance(model, CorrelatedBurst):
-        return {"type": "correlated", "lambda": model.lam, "xi": model.xi}
-    if isinstance(model, Scripted):
-        return {
-            "type": "scripted",
-            "losses": sorted([u, s] for u, s in model.losses),
-            "all_lost": sorted(model.all_lost),
-        }
-    raise ScenarioError(f"unknown channel model {model!r}")
+def _object(data: dict, key: str, default=None) -> dict:
+    value = data.get(key, default or {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key} must be a JSON object")
+    return value
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -81,11 +65,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(
                 f"unsupported schema version {data.get('schema')!r}"
             )
-        geo = data.get("geometry", {})
+        geo = _object(data, "geometry")
         geometry = IntersectionGeometry(
             x_s=float(geo.get("x_s", 200.0)), w=float(geo.get("w", 3.5))
         )
-        params = data.get("params", {})
+        params = _object(data, "params")
         vehicles = tuple(
             VehicleSpec(
                 uid=int(v["uid"]),
@@ -102,7 +86,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         return Scenario(
             vehicles=vehicles,
             geometry=geometry,
-            channel=channel_from_dict(data.get("channel", {"type": "perfect"})),
+            channel=channel_from_dict(_object(data, "channel", {"type": "perfect"})),
             T=float(data.get("T", 0.1)),
             F=int(data.get("F", 30)),
             R=float(data.get("R", 500.0)),
@@ -112,7 +96,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
@@ -125,15 +109,8 @@ def scenario_to_dict(s: Scenario) -> dict:
         "seed": s.seed,
         "max_slots": s.max_slots,
         "geometry": {"x_s": s.geometry.x_s, "w": s.geometry.w},
-        "channel": channel_to_dict(s.channel),
-        "params": {
-            "tau_th": s.tau_th,
-            "epsilon": s.epsilon,
-            "sigma_x": s.sigma_x,
-            "d_margin": s.d_margin,
-            "sensing_radius": s.sensing_radius,
-            "resume_accel": s.resume_accel,
-        },
+        "channel": s.channel.to_dict(),
+        "params": {k: getattr(s, k) for k in _PARAM_FIELDS},
         "vehicles": [
             {
                 "uid": v.uid,
@@ -169,87 +146,25 @@ def save_scenario(s: Scenario, path) -> None:
         fh.write("\n")
 
 
-# Two vehicles on perpendicular approaches with conflicting straight routes.
-# They sense each other in slot 1, switch to V2V together, and send their
-# first ENTER in slot 2, so scripted bursts anchored at the first exchange
-# start at global slot 2. Vehicle 1 starts slightly closer and wins priority.
-def _two_car_base(losses=(), seed: int = 0) -> Scenario:
-    return Scenario(
-        vehicles=(
-            VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=102.0, v=13.0, a=0.0),
-            VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=100.0, v=13.0, a=0.0),
-        ),
-        channel=Scripted(losses=frozenset(losses)),
-        F=8,
-        R=500.0,
-        max_slots=400,
-        seed=seed,
-    )
+DATA_DIR = Path(__file__).parent / "data"
 
-
-def build_fig5a() -> Scenario:
-    """Three cars, no losses; the third arrives late, waits out the first
-    round, and competes against the yielding car in a second round."""
-    return Scenario(
-        vehicles=(
-            VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=102.0, v=13.0, a=0.0),
-            VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=100.0, v=13.0, a=0.0),
-            VehicleSpec(uid=3, route=Route("H3R", "H1L"), x=30.0, v=13.0, a=0.0),
-        ),
-        channel=Perfect(),
-        F=8,
-        R=150.0,
-        max_slots=600,
-        seed=0,
-    )
-
-
-def build_fig5b() -> Scenario:
-    """Two cars; the second misses one slot (the first ENTER)."""
-    return _two_car_base(losses={(2, 2)})
-
-
-def build_fig5c() -> Scenario:
-    """Two cars; the second misses three consecutive slots."""
-    return _two_car_base(losses={(2, 2), (2, 3), (2, 4)})
-
-
-def build_fig5d() -> Scenario:
-    """Two cars; both miss the same two slots."""
-    return _two_car_base(losses={(1, 2), (1, 3), (2, 2), (2, 3)})
-
-
-def build_allloss() -> Scenario:
-    """Every V2V message is lost; both cars must cross via the fallback."""
-    return Scenario(
-        vehicles=(
-            VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=102.0, v=13.0, a=0.0),
-            VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=100.0, v=13.0, a=0.0),
-        ),
-        channel=Scripted(all_lost=frozenset({1, 2})),
-        F=5,
-        R=500.0,
-        max_slots=600,
-        seed=0,
-    )
-
-
+#: Bundled scenario name -> what it shows; each is ``data/<name>.scenario.json``.
 BUNDLED = {
-    "fig5a": build_fig5a,
-    "fig5b": build_fig5b,
-    "fig5c": build_fig5c,
-    "fig5d": build_fig5d,
-    "allloss": build_allloss,
+    "fig5a": "three cars, no losses; the third arrives late, waits out the "
+    "first round, and competes against the yielding car in a second round",
+    "fig5b": "two cars; the second misses one slot (the first ENTER)",
+    "fig5c": "two cars; the second misses three consecutive slots",
+    "fig5d": "two cars; both miss the same two slots",
+    "allloss": "every V2V message is lost; both cars cross via the fallback",
 }
 
 
 def bundled_scenario(name: str) -> Scenario:
-    try:
-        return BUNDLED[name]()
-    except KeyError:
+    if name not in BUNDLED:
         raise ScenarioError(
             f"unknown bundled scenario {name!r}; available: {sorted(BUNDLED)}"
-        ) from None
+        )
+    return load_scenario(DATA_DIR / f"{name}.scenario.json")
 
 
 def resolve_scenario(ref: str) -> Scenario:
@@ -259,15 +174,3 @@ def resolve_scenario(ref: str) -> Scenario:
     if Path(ref).exists():
         return load_scenario(ref)
     raise ScenarioError(f"scenario {ref!r} is neither bundled nor a readable file")
-
-
-def write_bundled_files(directory) -> list[Path]:
-    """Materialize the bundled scenarios as JSON files (used at build time)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, build in sorted(BUNDLED.items()):
-        path = directory / f"{name}.scenario.json"
-        save_scenario(build(), path)
-        written.append(path)
-    return written

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelModel,
-    CorrelatedBurst,
-    LinkContext,
-    Perfect,
-    Scripted,
-    sample_delivery,
-)
+from .channel import ChannelModel, Perfect, sample_delivery
 from .kinematics import (
     IntersectionGeometry,
     Route,
@@ -85,6 +78,18 @@ class VehicleSpec:
         return self.x if self.x_est is None else self.x_est
 
 
+# Rules for the scalar fields of a Scenario: (fields, the test each must
+# pass, what the test asks for).
+_RULES = (
+    (("T", "F", "R", "tau_th", "epsilon", "sigma_x", "d_margin", "sensing_radius",
+      "resume_accel", "max_slots", "seed"), math.isfinite, "finite"),
+    (("T", "R", "tau_th", "max_slots"), lambda x: x > 0, "positive"),
+    (("epsilon",), lambda x: 0 < x < 1, "in (0, 1)"),
+    (("F", "seed", "sigma_x", "d_margin", "sensing_radius", "resume_accel"),
+     lambda x: x >= 0, "nonnegative"),
+)
+
+
 @dataclass(frozen=True)
 class Scenario:
     vehicles: tuple[VehicleSpec, ...]
@@ -103,8 +108,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_slots <= 0:
-            raise ScenarioError("max_slots must be positive")
+        for names, passes, what in _RULES:
+            for name in names:
+                if not passes(getattr(self, name)):
+                    raise ScenarioError(f"{name} must be {what}")
         uids = [v.uid for v in self.vehicles]
         if len(set(uids)) != len(uids):
             raise ScenarioError("vehicle uids must be distinct")
@@ -112,6 +119,10 @@ class Scenario:
         if len(set(lanes)) != len(lanes):
             raise ScenarioError("one vehicle per approach lane")
         for v in self.vehicles:
+            if not all(map(math.isfinite, (v.x, v.v, v.a, v.dx_bound, v.est_x))):
+                raise ScenarioError(f"vehicle {v.uid} has a non-finite number")
+            if v.dx_bound < 0 or v.uid < 0:
+                raise ScenarioError(f"vehicle {v.uid} has a negative dx_bound or uid")
             if v.x >= self.geometry.x_col:
                 raise ScenarioError(f"vehicle {v.uid} starts inside the intersection")
             if v.v < 0:
@@ -188,7 +199,6 @@ class _Vehicle:
         "fallback_slot",
         "done_slot",
         "occupancy_slots",
-        "sd_decision",
     )
 
     def __init__(self, spec: VehicleSpec, F: int):
@@ -214,7 +224,6 @@ class _Vehicle:
         self.fallback_slot: int | None = None
         self.done_slot: int | None = None
         self.occupancy_slots = 0
-        self.sd_decision: SDDecision | None = None
 
     @property
     def uid(self) -> int:
@@ -247,9 +256,8 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     uids = sorted(vehicles)
     # one named stream per receiver; deterministic and disjoint across
     # vehicles (deterministic channels never touch them)
-    if isinstance(scenario.channel, (Perfect, Scripted)):
-        rngs: dict[int, np.random.Generator] = {}
-    else:
+    rngs: dict[int, np.random.Generator] = {}
+    if scenario.channel.uses_rng:
         rngs = {u: np.random.default_rng([scenario.seed, u]) for u in uids}
     rows: list[SlotRecord] = []
     events: list[tuple[int, int, str]] = []
@@ -436,7 +444,6 @@ def _protocol_phase(veh: _Vehicle, snap: SensorSnapshot, scenario, slot, events)
             events.append((slot, veh.uid, "SWITCH_V2V"))
             return _v2v_step(veh, scenario, slot, events)
         veh.proto, decision = sd_main_step(veh.proto, snap)
-        veh.sd_decision = decision
         if decision is SDDecision.SWITCH_TO_V2V:
             events.append((slot, veh.uid, "SWITCH_V2V"))
             veh.control = ("cruise",)
@@ -611,34 +618,11 @@ def _exchange(vehicles, uids, outboxes, scenario, rngs, slot):
                 lost[r_uid] |= outboxes[s_uid]
                 continue
             links.append((s_uid, d))
-        if not links:
-            continue
-        if isinstance(model, CorrelatedBurst):
-            # Receive omission is a receiver-side event: one draw per slot,
-            # taken at the weakest (longest) active link.
-            d_max = max(d for _, d in links)
-            ctx = LinkContext(
-                sender=links[0][0],
-                receiver=r_uid,
-                distance=d_max,
-                slot=slot,
-                prior_lost=recv.prior_lost,
-            )
-            ok = sample_delivery(model, ctx, rngs.get(r_uid))
-            recv.prior_lost = not ok
-            for s_uid, _ in links:
-                (delivered if ok else lost)[r_uid] |= outboxes[s_uid]
-        else:
-            for s_uid, d in links:
-                ctx = LinkContext(
-                    sender=s_uid,
-                    receiver=r_uid,
-                    distance=d,
-                    slot=slot,
-                    prior_lost=recv.prior_lost,
-                )
-                ok = sample_delivery(model, ctx, rngs.get(r_uid))
-                (delivered if ok else lost)[r_uid] |= outboxes[s_uid]
+        got, missed, recv.prior_lost = sample_delivery(
+            model, r_uid, slot, links, outboxes, recv.prior_lost, rngs.get(r_uid)
+        )
+        delivered[r_uid] |= got
+        lost[r_uid] |= missed
     return (
         {u: frozenset(delivered[u]) for u in uids},
         {u: frozenset(lost[u]) for u in uids},
@@ -793,27 +777,6 @@ def check_liveness(trace: SimTrace, bound: int) -> dict[int, bool]:
         done = trace.summary["vehicles"][str(spec.uid)]["done_slot"]
         out[spec.uid] = done is not None and done <= bound
     return out
-
-
-def crossing_stats(trace: SimTrace) -> dict[int, dict]:
-    """Per-vehicle consensus delay, crossing duration, fallback count, and
-    whether V2V was actually used."""
-    out = {}
-    for spec in trace.scenario.vehicles:
-        v = trace.summary["vehicles"][str(spec.uid)]
-        out[spec.uid] = {
-            "enter_delay": v["enter_delay"],
-            "crossing_slots": v["crossing_slots"],
-            "fallback_count": v["fallback_count"],
-            "v2v_used": v["v2v_used"],
-        }
-    return out
-
-
-def mixed_mode_window(trace: SimTrace) -> int:
-    """Longest run of slots with some vehicle still in V2V while another has
-    fallen back to sensor-only driving."""
-    return trace.summary["mixed_mode_window"]
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:

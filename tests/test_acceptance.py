@@ -26,8 +26,6 @@ from icsim.sim import (
     Scenario,
     VehicleSpec,
     check_safety,
-    crossing_stats,
-    mixed_mode_window,
     run_scenario,
     write_trace_csv,
 )
@@ -111,9 +109,8 @@ class TestCriterion1TimeDiagrams:
         # the same scenarios through the full engine
         for name, t_en in (("fig5b", 5), ("fig5c", 7), ("fig5d", 5)):
             trace = run_scenario(bundled_scenario(name))
-            stats = crossing_stats(trace)
-            assert stats[1]["enter_delay"] == stats[2]["enter_delay"] == t_en
             mc = trace.summary["vehicles"]
+            assert mc["1"]["enter_delay"] == mc["2"]["enter_delay"] == t_en
             assert mc["1"]["mainctrl_slots"] == mc["2"]["mainctrl_slots"]
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"criterion demands sub-second runtime, took {elapsed:.2f}s"
@@ -175,7 +172,7 @@ class TestCriterion3And4SafetySearch:
         )
         if fell:
             stats["fallback_traces"] += 1
-            assert mixed_mode_window(trace) <= 2 * F + 2, (routes, losses, F)
+            assert trace.summary["mixed_mode_window"] <= 2 * F + 2, (routes, losses, F)
         stats["runs"] += 1
 
     def test_two_vehicle_exhaustive(self):

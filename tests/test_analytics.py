@@ -12,7 +12,6 @@ from icsim.analytics import (
     DECAY_HARSH,
     DECAY_OPEN_FIELD,
     PdrSample,
-    delay_curve,
     expected_enter_delay,
     fit_decay_rate,
     monte_carlo_enter_delay,
@@ -183,6 +182,11 @@ class TestMonteCarloEnterDelay:
         cor_mean, _ = monte_carlo_enter_delay(CorrelatedBurst(lam, 0.9), d, 30, 30_000, 3)
         assert cor_mean > iid_mean
 
+    @pytest.mark.parametrize("model", [Perfect(), DistanceIID(0.0013)], ids=repr)
+    def test_negative_threshold_rejected(self, model):
+        with pytest.raises(ValueError):
+            monte_carlo_enter_delay(model, 100.0, -1, 100, 0)
+
     def test_deterministic_given_seed(self):
         a = monte_carlo_enter_delay(DistanceIID(0.0013), 300.0, 20, 5000, 99)
         b = monte_carlo_enter_delay(DistanceIID(0.0013), 300.0, 20, 5000, 99)
@@ -192,9 +196,8 @@ class TestMonteCarloEnterDelay:
 class TestDelayCurve:
     def test_nondecreasing_in_distance(self):
         distances = [0.0, 50.0, 100.0, 200.0, 300.0, 400.0, 500.0]
-        for lam, env in ((DECAY_OPEN_FIELD, "open-field"), (DECAY_HARSH, "harsh")):
+        for lam in (DECAY_OPEN_FIELD, DECAY_HARSH):
             for xi in (None, 0.5, 0.9):
-                curve = delay_curve(lam, distances, 30, xi, env)
-                values = [p.expected_delay for p in curve]
+                values = [expected_enter_delay(pdr(d, lam), 30, xi) for d in distances]
                 assert values == sorted(values)
                 assert values[0] == pytest.approx(3.0)

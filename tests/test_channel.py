@@ -8,19 +8,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icsim.channel import (
+    CHANNEL_TYPES,
     CorrelatedBurst,
     DistanceIID,
-    LinkContext,
     Perfect,
     Scripted,
     burst_length_pmf,
     pdr,
     sample_delivery,
 )
+from icsim.protocol import AckMessage, EnterMessage
+
+ACK = AckMessage(uid=1)
 
 
-def ctx(receiver=2, slot=1, d=100.0, prior=False):
-    return LinkContext(sender=1, receiver=receiver, distance=d, slot=slot, prior_lost=prior)
+def deliver(model, rng, receiver=2, slot=1, d=100.0, prior=False):
+    """Whether sender 1's ACK reaches ``receiver`` over one link."""
+    got, lost, _ = sample_delivery(
+        model, receiver, slot, [(1, d)], {1: frozenset({ACK})}, prior, rng
+    )
+    assert (ACK in got) != (ACK in lost)
+    return ACK in got
 
 
 class TestPdr:
@@ -60,39 +68,78 @@ class TestPdr:
 
 class TestSampleDelivery:
     def test_perfect_always_delivers(self):
-        rng = np.random.default_rng(0)
         assert all(
-            sample_delivery(Perfect(), ctx(slot=s, d=d), rng)
+            deliver(Perfect(), None, slot=s, d=d)
             for s in range(10)
             for d in (0.0, 250.0, 5000.0)
         )
 
     def test_scripted_lookup(self):
         model = Scripted(losses=frozenset({(2, 1), (2, 5)}))
-        rng = np.random.default_rng(0)
-        assert not sample_delivery(model, ctx(receiver=2, slot=1), rng)
-        assert not sample_delivery(model, ctx(receiver=2, slot=5), rng)
+        assert not deliver(model, None, receiver=2, slot=1)
+        assert not deliver(model, None, receiver=2, slot=5)
         # lookup miss means delivered
-        assert sample_delivery(model, ctx(receiver=2, slot=2), rng)
-        assert sample_delivery(model, ctx(receiver=1, slot=1), rng)
+        assert deliver(model, None, receiver=2, slot=2)
+        assert deliver(model, None, receiver=1, slot=1)
 
     def test_scripted_all_lost(self):
         model = Scripted(all_lost=frozenset({3}))
-        rng = np.random.default_rng(0)
-        assert not sample_delivery(model, ctx(receiver=3, slot=99), rng)
-        assert sample_delivery(model, ctx(receiver=2, slot=99), rng)
+        assert not deliver(model, None, receiver=3, slot=99)
+        assert deliver(model, None, receiver=2, slot=99)
 
     def test_same_seed_same_stream(self):
         model = DistanceIID(lam=0.003)
-        a = [
-            sample_delivery(model, ctx(slot=s, d=300), np.random.default_rng([7, s]))
-            for s in range(50)
-        ]
-        b = [
-            sample_delivery(model, ctx(slot=s, d=300), np.random.default_rng([7, s]))
-            for s in range(50)
-        ]
+        a = [deliver(model, np.random.default_rng([7, s]), slot=s, d=300) for s in range(50)]
+        b = [deliver(model, np.random.default_rng([7, s]), slot=s, d=300) for s in range(50)]
         assert a == b
+
+    def test_iid_draws_once_per_link_in_link_order(self):
+        model = DistanceIID(lam=0.003)
+        links = [(1, 50.0), (3, 400.0), (4, 900.0)]
+        outboxes = {u: frozenset({AckMessage(uid=u)}) for u, _ in links}
+        got, lost, _ = sample_delivery(
+            model, 2, 1, links, outboxes, False, np.random.default_rng(5)
+        )
+        ref = np.random.default_rng(5)
+        want = {u for u, d in links if ref.random() < pdr(d, model.lam)}
+        assert {m.uid for m in got} == want
+        assert {m.uid for m in lost} == {u for u, _ in links} - want
+
+    def test_correlated_one_draw_decides_every_link(self):
+        # the draw is taken at the longest link, and it decides all of them
+        model = CorrelatedBurst(lam=0.0013, xi=0.5)
+        links = [(1, 10.0), (3, 600.0)]
+        outboxes = {1: frozenset({ACK}), 3: frozenset({AckMessage(uid=3)})}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            got, lost, prior = sample_delivery(model, 2, 1, links, outboxes, False, rng)
+            ref = np.random.default_rng(seed)
+            ok = ref.random() >= 1.0 - pdr(600.0, model.lam)
+            assert (len(got), len(lost), prior) == ((2, 0, False) if ok else (0, 2, True))
+            assert rng.random() == ref.random()  # exactly one draw was taken
+
+    def test_prior_lost_is_nothing_received(self):
+        outboxes = {1: frozenset({ACK})}
+        for model, want in ((Perfect(), False), (Scripted(all_lost=frozenset({2})), True)):
+            _, _, prior = sample_delivery(model, 2, 1, [(1, 5.0)], outboxes, False, None)
+            assert prior is want
+
+    def test_no_link_draws_nothing_and_keeps_the_flag(self):
+        rng = np.random.default_rng(0)
+        for prior in (False, True):
+            out = sample_delivery(CorrelatedBurst(0.001, 0.5), 2, 1, [], {}, prior, rng)
+            assert out == (set(), set(), prior)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_every_message_of_a_sender_shares_its_fate(self):
+        enter = EnterMessage(uid=1, clane="H1R", nlane="H3L", tau_mti=4.0)
+        outboxes = {1: frozenset({ACK, enter})}
+        rng = np.random.default_rng(3)
+        for s in range(200):
+            got, lost, _ = sample_delivery(
+                DistanceIID(0.003), 2, s, [(1, 300.0)], outboxes, False, rng
+            )
+            assert (got, lost) in (({ACK, enter}, set()), (set(), {ACK, enter}))
 
     def test_correlated_without_memory_matches_iid_rate(self):
         # xi = 0: the empirical loss rate equals 1 - pdr within 3 sigma
@@ -100,10 +147,7 @@ class TestSampleDelivery:
         rng = np.random.default_rng(42)
         n = 200_000
         d = 400.0
-        losses = sum(
-            not sample_delivery(model, ctx(slot=s, d=d, prior=False), rng)
-            for s in range(n)
-        )
+        losses = sum(not deliver(model, rng, slot=s, d=d, prior=False) for s in range(n))
         p_loss = 1.0 - pdr(d, 0.0013)
         sigma = math.sqrt(n * p_loss * (1 - p_loss))
         assert abs(losses - n * p_loss) < 3 * sigma
@@ -113,10 +157,40 @@ class TestSampleDelivery:
         rng = np.random.default_rng(1)
         n = 100_000
         lost_after_loss = sum(
-            not sample_delivery(model, ctx(slot=s, d=100, prior=True), rng)
-            for s in range(n)
+            not deliver(model, rng, slot=s, d=100, prior=True) for s in range(n)
         )
         assert lost_after_loss / n == pytest.approx(0.9, abs=0.01)
+
+
+class TestModelForms:
+    MODELS = (
+        Perfect(),
+        DistanceIID(lam=0.0013),
+        CorrelatedBurst(lam=0.00063, xi=0.7),
+        Scripted(losses=frozenset({(2, 3), (1, 4)}), all_lost=frozenset({5})),
+    )
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_json_form_reads_back(self, model):
+        d = model.to_dict()
+        assert CHANNEL_TYPES[d["type"]].from_dict(d) == model
+
+    def test_burst_laws(self):
+        assert Perfect().burst_law(300.0) == (1.0, None)
+        assert DistanceIID(0.0013).burst_law(300.0) == (pdr(300.0, 0.0013), None)
+        assert CorrelatedBurst(0.0013, 0.9).burst_law(300.0) == (pdr(300.0, 0.0013), 0.9)
+        with pytest.raises(TypeError):
+            Scripted().burst_law(300.0)
+
+    def test_only_random_models_draw(self):
+        assert [m.uses_rng for m in self.MODELS] == [False, True, True, False]
+
+    @pytest.mark.parametrize("lam", [-0.001, math.inf, math.nan])
+    def test_bad_decay_rate_rejected(self, lam):
+        with pytest.raises(ValueError):
+            DistanceIID(lam)
+        with pytest.raises(ValueError):
+            CorrelatedBurst(lam, 0.5)
 
 
 class TestBurstLengthPmf:
@@ -160,7 +234,7 @@ class TestBurstLengthPmf:
         bursts = []
         run = 0
         for s in range(n_slots):
-            if sample_delivery(model, ctx(slot=s, d=d), rng):
+            if deliver(model, rng, slot=s, d=d):
                 bursts.append(run)
                 run = 0
             else:

@@ -1,12 +1,19 @@
 """Command-line interface tests: exit codes, output files, reproducibility."""
 
+import copy
 import csv
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsim.cli import EXIT_CONFIG, EXIT_OK, main
+from icsim.scenarios import bundled_scenario, scenario_to_dict
 
 
 def read_csv(path):
@@ -52,11 +59,11 @@ class TestSimulate:
         assert rows, "trace must not be empty"
         sent = [r["sent"] for r in rows if r["sent"]]
         assert any(s.startswith("ENTER:") for s in sent)
-        from icsim.protocol import decode_message
-
+        # the wire format: ENTER:uid:clane:nlane:tau or ACK:uid
+        wire = re.compile(r"ENTER:\d+:H[1-4]R:H[1-4]L:[0-9.e+-]+|ACK:\d+")
         for s in sent:
             for rec in s.split(";"):
-                decode_message(rec)  # must parse back
+                assert wire.fullmatch(rec), rec
 
     def test_reproducible_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -64,6 +71,116 @@ class TestSimulate:
         main(["simulate", "--scenario", "fig5d", "--out", str(b)])
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def _parent(data, path):
+    """The container that holds the entry at ``path`` of a nested dict."""
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+def fig5b(path=None, value=None, channel=None):
+    """The bundled fig5b scenario as a dict, with the value at ``path`` set."""
+    data = scenario_to_dict(bundled_scenario("fig5b"))
+    if channel is not None:
+        data["channel"] = channel
+    if path is not None:
+        _parent(data, path)[path[-1]] = value
+    return data
+
+
+def run_simulate(data, out, *flags) -> int:
+    path = out / "in.scenario.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data))
+    return main(["simulate", "--scenario", str(path), "--out", str(out / "o"), *flags])
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("T",), 0),
+            (("T",), -0.1),
+            (("R",), 0),
+            (("F",), -1),
+            (("seed",), -1),
+            (("params", "epsilon"), 0),
+            (("params", "epsilon"), 1),
+            (("params", "tau_th"), 0),
+            (("params", "sigma_x"), -1),
+            (("params",), [1]),
+            (("channel",), [1]),
+            (("geometry",), [1]),
+            (("geometry", "w"), 0),
+            (("vehicles", 0, "x"), -math.inf),
+            (("vehicles", 0, "x"), math.nan),
+            (("vehicles", 0, "v"), math.nan),
+            (("vehicles", 0, "dx_bound"), -1),
+            (("F",), 1e400),
+        ],
+        ids=repr,
+    )
+    def test_exits_1_with_one_line(self, path, value, tmp_path, capsys):
+        assert run_simulate(fig5b(path, value), tmp_path) == EXIT_CONFIG
+        assert_one_line_error(capsys)
+
+    def test_negative_seed_flag_on_a_random_channel(self, tmp_path, capsys):
+        data = fig5b(channel={"type": "distance_iid", "lambda": 0.001})
+        assert run_simulate(data, tmp_path, "--seed", "-1") == EXIT_CONFIG
+        assert_one_line_error(capsys)
+
+
+# Replacement values for one entry of a scenario dict: out-of-range and
+# non-finite numbers, wrong types, and ordinary values.
+ODD_VALUES = st.one_of(
+    st.sampled_from(
+        [0, -1, -0.1, 1e-9, 0.5, 1, 1000, math.nan, math.inf, -math.inf,
+         None, "x", [], [1], {}, True]
+    ),
+    st.floats(-1e4, 1e4),
+    st.integers(-10, 1000),
+)
+DELETE = object()
+
+
+def _paths(data, prefix=()):
+    for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """fig5b on a scripted or a correlated channel, with one to three
+    entries replaced or deleted."""
+    channel = draw(st.sampled_from([None, {"type": "correlated", "lambda": 0.002, "xi": 0.7}]))
+    data = fig5b(channel=channel)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(data))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        value = draw(st.one_of(st.just(DELETE), ODD_VALUES))
+        if value is DELETE:
+            del _parent(data, path)[path[-1]]
+        else:
+            _parent(data, path)[path[-1]] = copy.deepcopy(value)
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_scenarios())
+def test_any_mutated_scenario_gives_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_simulate(data, Path(tmp)) in (0, 1, 2, 3)
 
 
 class TestSweepDelay:
@@ -109,6 +226,18 @@ class TestSweepDelay:
                 if d > 0:
                     assert hi[d] >= lo[d]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--xi", "1.5"], ["--F", "-1"], ["--d-min", "-50"], ["--trials", "-3"],
+         ["--d-max", "inf"], ["--seed", "-1", "--trials", "5"]],
+        ids=" ".join,
+    )
+    def test_bad_argument_writes_nothing(self, flags, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep-delay", "--out", str(out), *flags]) == EXIT_CONFIG
+        assert not out.exists()
+        assert_one_line_error(capsys)
+
     def test_bad_range_is_config_error(self, tmp_path):
         rc = main(
             ["sweep-delay", "--out", str(tmp_path), "--d-min", "10", "--d-max", "5"]
@@ -143,6 +272,16 @@ class TestV2VProb:
             pts.sort()
             vals = [v for _, v in pts]
             assert vals == sorted(vals)
+
+
+    @pytest.mark.parametrize(
+        "flags", [["--xi", "1.5"], ["--d", "-5"], ["--d", "200,nan"]], ids=" ".join
+    )
+    def test_bad_argument_writes_nothing(self, flags, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["v2v-prob", "--out", str(out), *flags]) == EXIT_CONFIG
+        assert not out.exists()
+        assert_one_line_error(capsys)
 
 
 class TestFitPdr:

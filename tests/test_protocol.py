@@ -159,7 +159,6 @@ class TestFallbackContainment:
         # the starved vehicle gives up after F+1 counted failures
         assert res.fallback_slot[2] == F + 2
         assert res.final_states[2].mode is Mode.SD_FALLBACK
-        assert res.final_states[2].v2v_banned
 
     @pytest.mark.parametrize("F", [2, 3, 5, 8])
     def test_contagion_bound(self, F):
@@ -243,7 +242,6 @@ class TestEnterStepUnit:
         assert st.f == 2
         assert st.mode is Mode.SD_FALLBACK
         assert io.action is Action.SWITCH_TO_SD
-        assert st.v2v_banned
 
     def test_no_reentry_requires_explicit_round_reset(self):
         st = self.fresh(F=0)

@@ -1,6 +1,5 @@
 """Scenario schema round-trips and the bundled JSON files."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -53,12 +52,17 @@ class TestRoundTrip:
 
 class TestBundledFiles:
     @pytest.mark.parametrize("name", sorted(BUNDLED))
-    def test_shipped_json_matches_builder(self, name):
+    def test_shipped_json_matches_builder(self, name, tmp_path):
+        # the shipped file is the scenario's only definition; it is in the
+        # canonical form save_scenario writes for its own load
         path = DATA_DIR / f"{name}.scenario.json"
         assert path.exists(), f"missing bundled file {path}"
-        with open(path) as fh:
-            data = json.load(fh)
-        assert scenario_from_dict(data) == bundled_scenario(name)
+        save_scenario(bundled_scenario(name), tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_bytes() == path.read_bytes()
+
+    def test_every_shipped_file_is_bundled(self):
+        shipped = {p.name.removesuffix(".scenario.json") for p in DATA_DIR.glob("*.json")}
+        assert shipped == set(BUNDLED)
 
     def test_resolve_prefers_bundled_names(self):
         assert resolve_scenario("fig5a") == bundled_scenario("fig5a")

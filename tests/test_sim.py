@@ -21,8 +21,6 @@ from icsim.sim import (
     _Vehicle,
     check_liveness,
     check_safety,
-    crossing_stats,
-    mixed_mode_window,
     run_scenario,
     write_trace_csv,
 )
@@ -68,12 +66,11 @@ class TestScriptedScenarios:
     )
     def test_two_car_delays(self, name, delay):
         trace = run_scenario(bundled_scenario(name))
-        stats = crossing_stats(trace)
-        assert stats[1]["enter_delay"] == delay
-        assert stats[2]["enter_delay"] == delay
-        assert stats[1]["fallback_count"] == stats[2]["fallback_count"] == 0
-        assert stats[1]["v2v_used"] and stats[2]["v2v_used"]
         mc = trace.summary["vehicles"]
+        assert mc["1"]["enter_delay"] == delay
+        assert mc["2"]["enter_delay"] == delay
+        assert mc["1"]["fallback_count"] == mc["2"]["fallback_count"] == 0
+        assert mc["1"]["v2v_used"] and mc["2"]["v2v_used"]
         assert mc["1"]["mainctrl_slots"] == mc["2"]["mainctrl_slots"]
 
     def test_liveness_bound_three_sequential_crossings(self):
@@ -138,7 +135,7 @@ class TestFallbackSafetyAndLiveness:
         F = 4
         losses = frozenset({(2, s) for s in range(2, 60)})
         trace = run_scenario(two_car(Scripted(losses=losses), F=F, max_slots=600))
-        assert 0 < mixed_mode_window(trace) <= 2 * F + 2
+        assert 0 < trace.summary["mixed_mode_window"] <= 2 * F + 2
 
     def test_total_blackout_everyone_crosses(self):
         trace = run_scenario(bundled_scenario("allloss"))
