@@ -34,6 +34,8 @@ class PdrSample:
     def __post_init__(self):
         if not (0 <= self.pdr <= 1):
             raise ValueError("pdr must be in [0, 1]")
+        if not (math.isfinite(self.distance) and self.distance >= 0):
+            raise ValueError("distance must be finite and nonnegative")
 
 
 def expected_enter_delay(p: float, F: int, xi: float | None = None) -> float:

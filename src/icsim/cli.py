@@ -232,7 +232,11 @@ DIAGRAM_CASES = (
 
 def cmd_diagram(args) -> int:
     for title, losses in DIAGRAM_CASES:
-        result = simulate_enter_round(2, F=args.F, losses=set(losses))
+        try:
+            result = simulate_enter_round(2, F=args.F, losses=set(losses))
+        except ValueError as exc:  # raised by the first case, before any output
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"=== {title}: resolution in {result.resolution_slot()} slots ===")
         print(f"{'slot':>4} {'uid':>3} {'f':>2}  {'sent':<24} {'received':<40} action")
         for entry in result.log:

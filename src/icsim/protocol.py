@@ -3,7 +3,9 @@
 Three pieces: the sensor-driven main decision (cross / follow / wait /
 switch to V2V), the slotted ENTER consensus that exchanges ENTER and ACK
 messages until every competitor holds the same ENTER set, and the
-sensor-driven EXIT logic that runs after the main control decision.
+sensor-driven wait of a yielding vehicle after the consensus. Transitions
+that read only the vehicle's own state (starting to cross, leaving the
+intersection) belong to the engine.
 
 Slot convention: a message sent during slot t is delivered during slot t
 (or lost; late messages are discarded), and the receiver acts on it at slot
@@ -104,7 +106,6 @@ class SensorSnapshot:
     est: VehicleEstimate
     route: Route
     x_s: float
-    cell_w: float
     a_des: float
     resume_accel: float
     radius: float
@@ -174,6 +175,18 @@ def planned_tau(snapshot: SensorSnapshot) -> float:
     return tau
 
 
+def competitors(snapshot: SensorSnapshot) -> set[int]:
+    """The sensed vehicles an ENTER round runs against: on another lane,
+    not yet exited, and within the sensing radius of the center."""
+    return {
+        o.uid
+        for o in snapshot.others
+        if not o.exited
+        and o.clane != snapshot.route.clane
+        and o.dist_to_center <= snapshot.radius
+    }
+
+
 def build_enter(snapshot: SensorSnapshot) -> EnterMessage:
     return EnterMessage(
         uid=snapshot.est.uid,
@@ -207,12 +220,7 @@ def sd_main_step(
         return state, SDDecision.USE_SD_FOLLOW
     if any(o.competing_light for o in active if o.clane != sensed.route.clane):
         return state, SDDecision.USE_SD_WAIT
-    peers = {
-        o.uid
-        for o in in_radius
-        if o.clane != sensed.route.clane
-    }
-    state.reset_round(peers, build_enter(sensed))
+    state.reset_round(competitors(sensed), build_enter(sensed))
     return state, SDDecision.SWITCH_TO_V2V
 
 
@@ -299,51 +307,33 @@ def exit_step(
     state: ProtocolState,
     verdict_proceed: frozenset[int],
     sensed: SensorSnapshot,
-) -> tuple[ProtocolState, Action]:
-    """Sensor-based behavior after the main control decision.
+) -> ProtocolState:
+    """Sensor-based wait of a yielding vehicle after the main control decision.
 
-    A proceeding vehicle reports EXITED once its position estimate clears
-    the intersection. A yielding vehicle waits until sensing shows every
-    proceeding competitor gone, then either starts a fresh ENTER round
-    against the remaining competitors or, with nobody left, proceeds
-    directly.
+    It waits until sensing shows every proceeding competitor gone, then
+    either starts a fresh ENTER round against the remaining competitors or,
+    with nobody left, proceeds directly (CROSSING).
     """
-    if state.mode is Mode.CROSSING:
-        exit_pos = sensed.x_s - sensed.cell_w + _path_cells(sensed) * sensed.cell_w
-        if sensed.est.x_hat - sensed.est.dx_bound >= exit_pos:
-            state.mode = Mode.DONE
-            return state, Action.EXITED
-        return state, Action.NONE
-    if state.mode is Mode.AWAIT_EXIT:
-        visible = {o.uid: o for o in sensed.others}
-        for uid in verdict_proceed:
-            if uid == state.uid:
-                continue
-            o = visible.get(uid)
-            if o is None or o.exited:
-                continue
-            # a prioritized car sitting still with its signal off has
-            # abandoned the crossing (sensor fallback); stop waiting on it
-            if o.stopped_since is not None and not o.competing_light:
-                continue
-            return state, Action.NONE
-        peers = {
-            o.uid
-            for o in sensed.others
-            if not o.exited
-            and o.clane != sensed.route.clane
-            and o.dist_to_center <= sensed.radius
-        }
-        if peers:
-            state.reset_round(peers, build_enter(sensed))
-        else:
-            state.mode = Mode.CROSSING
-        return state, Action.NONE
-    raise ValueError("exit_step requires CROSSING or AWAIT_EXIT mode")
-
-
-def _path_cells(sensed: SensorSnapshot) -> int:
-    return {"right": 1, "straight": 2, "left": 3}[sensed.route.maneuver]
+    if state.mode is not Mode.AWAIT_EXIT:
+        raise ValueError("exit_step requires AWAIT_EXIT mode")
+    visible = {o.uid: o for o in sensed.others}
+    for uid in verdict_proceed:
+        if uid == state.uid:
+            continue
+        o = visible.get(uid)
+        if o is None or o.exited:
+            continue
+        # a prioritized car sitting still with its signal off has
+        # abandoned the crossing (sensor fallback); stop waiting on it
+        if o.stopped_since is not None and not o.competing_light:
+            continue
+        return state
+    peers = competitors(sensed)
+    if peers:
+        state.reset_round(peers, build_enter(sensed))
+    else:
+        state.mode = Mode.CROSSING
+    return state
 
 
 def closed_form_enter_delay(F: int, failures: dict[int, int]) -> int:
@@ -405,6 +395,8 @@ def simulate_enter_round(
     Slots count from 1 (the first ENTER transmission). Message content is
     synthetic; only the exchange dynamics matter here.
     """
+    if F < 0:
+        raise ValueError("F must be nonnegative")
     losses = losses or set()
     if uids is None:
         uids = tuple(range(1, n_vehicles + 1))

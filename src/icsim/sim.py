@@ -31,8 +31,8 @@ from .protocol import (
     SDDecision,
     SensedVehicle,
     SensorSnapshot,
-    SlotIO,
     build_enter,
+    competitors,
     encode_message,
     enter_step,
     exit_step,
@@ -42,6 +42,8 @@ from .protocol import (
 #: Gap kept between a stop target and the position actually stopped at.
 STOP_MARGIN = 0.5
 FOLLOW_GAP = 5.0
+_CRUISE = ("cruise",)
+_NO_MAIL: frozenset = frozenset()
 
 TRACE_COLUMNS = (
     "slot",
@@ -149,6 +151,19 @@ class SlotRecord:
 
 @dataclass
 class SimTrace:
+    """One run: the recorded rows, the event log, and the summary folded
+    from the log. ``events`` is a slot-ordered list of ``(slot, uid, name)``:
+
+    SWITCH_V2V   leaves sensor driving for an ENTER round (own decision or pulled in)
+    FIRST_ENTER  first exchange slot of a round: its first ENTER goes out
+    MAINCTRL     the round completed; the car applies the verdict
+    SWITCH_SD    the round failed more than F times; sensor fallback for good
+    CROSS_START  starts crossing (proceed verdict, nobody left to yield to, or sensors)
+    REENTER      a yielder whose prioritised cars have gone starts a fresh round
+    FALLBACK_GO  a fallback car takes its turn, or finishes a crossing it is inside
+    EXITED       the position estimate, less its bound, has cleared the path; done
+    """
+
     scenario: Scenario
     rows: list[SlotRecord]
     events: list[tuple[int, int, str]]
@@ -194,11 +209,6 @@ class _Vehicle:
         "guard_x",
         "fallback_go",
         "stopped_since",
-        "first_enter_slot",
-        "mainctrl_slots",
-        "fallback_slot",
-        "done_slot",
-        "occupancy_slots",
     )
 
     def __init__(self, spec: VehicleSpec, F: int):
@@ -219,11 +229,6 @@ class _Vehicle:
         self.guard_x: float | None = None
         self.fallback_go = False
         self.stopped_since: int | None = None
-        self.first_enter_slot: int | None = None
-        self.mainctrl_slots: list[int] = []
-        self.fallback_slot: int | None = None
-        self.done_slot: int | None = None
-        self.occupancy_slots = 0
 
     @property
     def uid(self) -> int:
@@ -262,6 +267,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     rows: list[SlotRecord] = []
     events: list[tuple[int, int, str]] = []
     violations: list[tuple[int, str, tuple[int, int]]] = []
+    crossing_slots = {u: 0 for u in uids}
     mixed_run = 0
     mixed_window = 0
     slots_run = 0
@@ -271,31 +277,21 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         snapshots = _sense(vehicles, uids, scenario, slot)
         outboxes: dict[int, frozenset] = {}
         actions: dict[int, str] = {}
-        fs: dict[int, int] = {}
-
         for uid in uids:
-            veh = vehicles[uid]
-            result = _protocol_phase(veh, snapshots.get(uid), scenario, slot, events)
-            if isinstance(result, SlotIO):
-                outboxes[uid] = result.outbox
-                actions[uid] = (
-                    result.action.value if result.action is not Action.NONE else ""
-                )
-            else:
-                actions[uid] = result or ""
-            fs[uid] = veh.proto.f
+            outboxes[uid], actions[uid] = _protocol_phase(
+                vehicles[uid], snapshots.get(uid), scenario, slot, events
+            )
 
         delivered, lost = _exchange(vehicles, uids, outboxes, scenario, rngs, slot)
-        for uid in uids:
-            vehicles[uid].pending_inbox = delivered[uid]
-
+        cells: dict[int, str | None] = {}
         for uid in uids:
             veh = vehicles[uid]
+            veh.pending_inbox = delivered[uid]
             a_eff = _apply_control(veh, scenario)
             _integrate(veh, a_eff, scenario.T, slot)
-            cell = geo.cell_at(veh.route, veh.x)
+            cells[uid] = cell = geo.cell_at(veh.route, veh.x)
             if cell is not None:
-                veh.occupancy_slots += 1
+                crossing_slots[uid] += 1
             if record:
                 rows.append(
                     SlotRecord(
@@ -305,20 +301,18 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                         x=veh.x,
                         v=veh.v,
                         a=a_eff,
-                        f=fs[uid],
-                        sent=";".join(
-                            sorted(encode_message(m) for m in outboxes.get(uid, ()))
-                        ),
+                        f=veh.proto.f,
+                        sent=";".join(sorted(encode_message(m) for m in outboxes[uid])),
                         received=";".join(
                             sorted(encode_message(m) for m in delivered[uid])
                         ),
                         lost=";".join(sorted(encode_message(m) for m in lost[uid])),
                         occupancy=cell or "",
-                        action=actions.get(uid, ""),
+                        action=actions[uid],
                     )
                 )
 
-        _check_cooccupancy(vehicles, uids, geo, slot, violations)
+        _check_cooccupancy(cells, slot, violations)
 
         any_v2v = any(vehicles[u].mode is Mode.V2V_ENTER for u in uids)
         any_fall = any(vehicles[u].mode is Mode.SD_FALLBACK for u in uids)
@@ -328,7 +322,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         if all(vehicles[u].mode is Mode.DONE for u in uids):
             break
 
-    summary = _summarize(vehicles, uids, slots_run, violations, mixed_window)
+    summary = _summarize(events, uids, slots_run, violations, mixed_window, crossing_slots)
     return SimTrace(
         scenario=scenario,
         rows=rows,
@@ -341,120 +335,94 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
 
 def _sense(vehicles, uids, scenario, slot) -> dict[int, SensorSnapshot]:
     """Build sensor snapshots, but only for vehicles that will read them
-    this slot: V2V exchanges and finished vehicles run on messages and own
-    state alone."""
+    this slot: V2V exchanges, crossing, going and finished vehicles run on
+    messages and own state alone."""
     geo = scenario.geometry
-    need_full = []
-    need_self = []
+    need = []
     for u in uids:
         veh = vehicles[u]
         m = veh.proto.mode
-        if m is Mode.SD_APPROACH or m is Mode.AWAIT_EXIT:
-            need_full.append(u)
-        elif m is Mode.SD_FALLBACK:
-            (need_self if veh.fallback_go else need_full).append(u)
-        elif m is Mode.CROSSING:
-            need_self.append(u)
+        if m is Mode.SD_APPROACH or m is Mode.AWAIT_EXIT or (
+            m is Mode.SD_FALLBACK and not veh.fallback_go
+        ):
+            need.append(u)
+    if not need:
+        return {}
+    pos2d = {u: _position_2d(vehicles[u].route, vehicles[u].x, geo.x_s) for u in uids}
+    sensed = {}
+    for o_uid in uids:
+        other = vehicles[o_uid]
+        sensed[o_uid] = SensedVehicle(
+            uid=o_uid,
+            clane=other.route.clane,
+            x=other.x,
+            dist_to_center=abs(geo.x_s - other.x),
+            v=other.v,
+            competing_light=other.mode in (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
+            or (other.mode is Mode.SD_FALLBACK and other.fallback_go),
+            exited=other.x >= geo.path_exit(other.route),
+            stopped_since=other.stopped_since,
+        )
     snapshots = {}
-
-    def base(me):
-        return dict(
+    for uid in need:
+        me = vehicles[uid]
+        others = []
+        for o_uid in uids:
+            if o_uid == uid:
+                continue
+            dx = pos2d[uid][0] - pos2d[o_uid][0]
+            dy = pos2d[uid][1] - pos2d[o_uid][1]
+            if dx * dx + dy * dy > scenario.sensing_radius**2:
+                continue
+            others.append(sensed[o_uid])
+        snapshots[uid] = SensorSnapshot(
             est=me.estimate(),
             route=me.route,
             x_s=geo.x_s,
-            cell_w=geo.w,
             a_des=me.a_des,
             resume_accel=scenario.resume_accel,
             radius=scenario.sensing_radius,
+            others=tuple(others),
             v_des=me.v_des,
         )
-
-    if need_full:
-        pos2d = {
-            u: _position_2d(vehicles[u].route, vehicles[u].x, geo.x_s) for u in uids
-        }
-        sensed = {}
-        for o_uid in uids:
-            other = vehicles[o_uid]
-            sensed[o_uid] = SensedVehicle(
-                uid=o_uid,
-                clane=other.route.clane,
-                x=other.x,
-                dist_to_center=abs(geo.x_s - other.x),
-                v=other.v,
-                competing_light=other.mode
-                in (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
-                or (other.mode is Mode.SD_FALLBACK and other.fallback_go),
-                exited=other.x >= geo.path_exit(other.route),
-                stopped_since=other.stopped_since,
-            )
-        for uid in need_full:
-            me = vehicles[uid]
-            others = []
-            for o_uid in uids:
-                if o_uid == uid:
-                    continue
-                dx = pos2d[uid][0] - pos2d[o_uid][0]
-                dy = pos2d[uid][1] - pos2d[o_uid][1]
-                if dx * dx + dy * dy > scenario.sensing_radius**2:
-                    continue
-                others.append(sensed[o_uid])
-            snapshots[uid] = SensorSnapshot(others=tuple(others), **base(me))
-    for uid in need_self:
-        snapshots[uid] = SensorSnapshot(others=(), **base(vehicles[uid]))
     return snapshots
 
 
-def _protocol_phase(veh: _Vehicle, snap: SensorSnapshot, scenario, slot, events):
-    """Run one vehicle's per-slot protocol logic; returns a SlotIO for V2V
-    exchanges or an action string for bookkeeping."""
+def _protocol_phase(
+    veh: _Vehicle, snap: SensorSnapshot | None, scenario, slot, events
+) -> tuple[frozenset, str]:
+    """Run one vehicle's per-slot protocol logic and every transition that
+    reads its own state; returns its outbox and the trace's action column."""
     geo = scenario.geometry
     mode = veh.mode
+    veh.control = _CRUISE
 
     if mode is Mode.SD_APPROACH:
         if not veh.triggered:
-            try:
-                veh.triggered = enter_trigger(
-                    veh.estimate(),
-                    scenario.sigma_x,
-                    scenario.R,
-                    scenario.T,
-                    geo.x_col,
-                    scenario.epsilon,
-                )
-            except ValueError:
-                veh.triggered = False
-        if not veh.triggered:
-            veh.control = ("cruise",)
-            return ""
+            veh.triggered = enter_trigger(
+                veh.estimate(),
+                scenario.sigma_x,
+                scenario.R,
+                scenario.T,
+                geo.x_col,
+                scenario.epsilon,
+            )
+            if not veh.triggered:
+                return _NO_MAIL, ""
         # Overhearing an ENTER means an active round wants this vehicle:
         # join it rather than waiting for the signal lights to clear.
-        pulled = {
-            m.uid for m in veh.pending_inbox if getattr(m, "msg_type", "") == "ENTER"
-        }
+        pulled = {m.uid for m in veh.pending_inbox if m.msg_type == "ENTER"}
         if pulled:
-            peers = pulled | {
-                o.uid
-                for o in snap.others
-                if not o.exited
-                and o.clane != veh.route.clane
-                and o.dist_to_center <= snap.radius
-            }
-            veh.proto.reset_round(peers, build_enter(snap))
+            veh.proto.reset_round(pulled | competitors(snap), build_enter(snap))
             events.append((slot, veh.uid, "SWITCH_V2V"))
             return _v2v_step(veh, scenario, slot, events)
         veh.proto, decision = sd_main_step(veh.proto, snap)
         if decision is SDDecision.SWITCH_TO_V2V:
             events.append((slot, veh.uid, "SWITCH_V2V"))
-            veh.control = ("cruise",)
-            return "SwitchToV2V"
-        if decision is SDDecision.USE_SD_CROSS:
-            veh.control = ("cruise",)
+        elif decision is SDDecision.USE_SD_CROSS:
             if veh.x_est >= geo.x_col:
-                veh.proto.mode = Mode.CROSSING
-                events.append((slot, veh.uid, "CROSS_START"))
-            return decision.value
-        if decision is SDDecision.USE_SD_FOLLOW:
+                _cross(veh, slot, events)
+        elif decision is SDDecision.USE_SD_FOLLOW:
             leaders = [
                 o
                 for o in snap.others
@@ -462,85 +430,67 @@ def _protocol_phase(veh: _Vehicle, snap: SensorSnapshot, scenario, slot, events)
             ]
             target = min(o.x for o in leaders) - FOLLOW_GAP if leaders else None
             veh.control = ("follow", target)
-            return decision.value
-        veh.control = ("stop_at", geo.x_col - STOP_MARGIN)
-        return decision.value
+        else:
+            veh.control = ("stop_at", geo.x_col - STOP_MARGIN)
+        return _NO_MAIL, decision.value
 
     if mode is Mode.V2V_ENTER:
         return _v2v_step(veh, scenario, slot, events)
 
     if mode is Mode.AWAIT_EXIT:
-        veh.proto, action = exit_step(veh.proto, veh.proceed_uids, snap)
-        if veh.proto.mode is Mode.V2V_ENTER:
+        veh.proto = exit_step(veh.proto, veh.proceed_uids, snap)
+        if veh.mode is Mode.V2V_ENTER:
             events.append((slot, veh.uid, "REENTER"))
             # hold at the collision boundary until the new round's verdict
-            veh.control = (
-                ("stop_at", veh.guard_x) if veh.guard_x is not None else ("cruise",)
-            )
-        elif veh.proto.mode is Mode.CROSSING:
-            events.append((slot, veh.uid, "CROSS_START"))
-            veh.guard_x = None
-            veh.control = ("cruise",)
+            if veh.guard_x is not None:
+                veh.control = ("stop_at", veh.guard_x)
+        elif veh.mode is Mode.CROSSING:
+            _cross(veh, slot, events)
         else:
             veh.control = ("yield",)
-        return ""
+        return _NO_MAIL, ""
 
-    if mode is Mode.CROSSING:
-        veh.proto, action = exit_step(veh.proto, veh.proceed_uids, snap)
-        if action is Action.EXITED:
-            veh.done_slot = slot
+    if mode is Mode.CROSSING or (mode is Mode.SD_FALLBACK and veh.fallback_go):
+        if veh.x_est - veh.spec.dx_bound >= geo.path_exit(veh.route):
+            veh.proto.mode = Mode.DONE
             events.append((slot, veh.uid, "EXITED"))
-        veh.control = ("cruise",)
-        return action.value if action is Action.EXITED else ""
+            # the action column names only the exit of a V2V crossing
+            return _NO_MAIL, Action.EXITED.value if mode is Mode.CROSSING else ""
+        return _NO_MAIL, ""
 
     if mode is Mode.SD_FALLBACK:
-        if veh.fallback_go:
-            exit_pos = geo.path_exit(veh.route)
-            if veh.x_est - veh.spec.dx_bound >= exit_pos:
-                veh.proto.mode = Mode.DONE
-                veh.done_slot = slot
-                events.append((slot, veh.uid, "EXITED"))
-            veh.control = ("cruise",)
-            return ""
-        if veh.x >= geo.x_col:
-            # already occupying the intersection: parking here is never
-            # safe, so finish the crossing carefully instead of queueing
-            veh.fallback_go = True
-            events.append((slot, veh.uid, "FALLBACK_GO"))
-            veh.control = ("cruise",)
-            return ""
         veh.control = ("stop_at", geo.x_col - STOP_MARGIN)
-        if veh.v == 0.0 and _my_turn(veh, snap, geo):
+        # a car already occupying the intersection never parks there: it
+        # finishes the crossing carefully instead of queueing
+        if veh.x >= geo.x_col or (veh.v == 0.0 and _my_turn(veh, snap, geo)):
             veh.fallback_go = True
             events.append((slot, veh.uid, "FALLBACK_GO"))
-            veh.control = ("cruise",)
-        return ""
-
-    veh.control = ("cruise",)
-    return ""
+            veh.control = _CRUISE
+    return _NO_MAIL, ""
 
 
-def _v2v_step(veh: _Vehicle, scenario, slot, events) -> SlotIO:
-    geo = scenario.geometry
-    if veh.proto.t == 0 and veh.first_enter_slot is None:
-        veh.first_enter_slot = slot
+def _cross(veh: _Vehicle, slot, events) -> None:
+    veh.proto.mode = Mode.CROSSING
+    events.append((slot, veh.uid, "CROSS_START"))
+    veh.guard_x = None
+    veh.control = _CRUISE
+
+
+def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
+    if veh.proto.t == 0:
+        events.append((slot, veh.uid, "FIRST_ENTER"))
     veh.proto, io = enter_step(veh.proto, veh.pending_inbox)
-    veh.pending_inbox = frozenset()
     if io.action is Action.INITIATE_MAINCTRL:
-        veh.mainctrl_slots.append(slot)
         events.append((slot, veh.uid, "MAINCTRL"))
         _apply_verdict(veh, scenario, slot, events)
     elif io.action is Action.SWITCH_TO_SD:
-        veh.fallback_slot = slot
         events.append((slot, veh.uid, "SWITCH_SD"))
-        veh.control = ("stop_at", geo.x_col - STOP_MARGIN)
+        veh.control = ("stop_at", scenario.geometry.x_col - STOP_MARGIN)
     elif veh.guard_x is not None:
         # a re-entered yielder keeps holding at its collision boundary
         # while the fresh handshake runs
         veh.control = ("stop_at", veh.guard_x)
-    else:
-        veh.control = ("cruise",)
-    return io
+    return io.outbox, "" if io.action is Action.NONE else io.action.value
 
 
 def _my_turn(veh: _Vehicle, snap: SensorSnapshot, geo: IntersectionGeometry) -> bool:
@@ -573,10 +523,7 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
     verdict = priority_decision(entries, geo, scenario.tau_th)
     veh.proceed_uids = verdict.proceeding()
     if verdict.is_proceed(veh.uid):
-        st.mode = Mode.CROSSING
-        events.append((slot, veh.uid, "CROSS_START"))
-        veh.guard_x = None
-        veh.control = ("cruise",)
+        _cross(veh, slot, events)
         return
     st.mode = Mode.AWAIT_EXIT
     my_col = verdict.collision[veh.uid]
@@ -703,42 +650,48 @@ def _integrate(veh: _Vehicle, a: float, T: float, slot: int) -> float:
     return a
 
 
-def _check_cooccupancy(vehicles, uids, geo, slot, violations):
-    cells: dict[str, int] = {}
-    for uid in uids:
-        veh = vehicles[uid]
-        cell = geo.cell_at(veh.route, veh.x)
+def _check_cooccupancy(cells: dict[int, str | None], slot, violations):
+    holder: dict[str, int] = {}
+    for uid, cell in cells.items():
         if cell is None:
             continue
-        if cell in cells:
-            violations.append((slot, cell, (cells[cell], uid)))
+        if cell in holder:
+            violations.append((slot, cell, (holder[cell], uid)))
         else:
-            cells[cell] = uid
+            holder[cell] = uid
 
 
-def _summarize(vehicles, uids, slots_run, violations, mixed_window) -> dict:
+def _summarize(events, uids, slots_run, violations, mixed_window, crossing_slots) -> dict:
+    """Fold the event log into the per-vehicle summary."""
+    first_enter: dict[int, int] = {}
+    mainctrl: dict[int, list[int]] = {u: [] for u in uids}
+    fallback: dict[int, int] = {}
+    done: dict[int, int] = {}
+    for slot, uid, name in events:
+        if name == "FIRST_ENTER":
+            first_enter.setdefault(uid, slot)
+        elif name == "MAINCTRL":
+            mainctrl[uid].append(slot)
+        elif name == "SWITCH_SD":
+            fallback[uid] = slot
+        elif name == "EXITED":
+            done[uid] = slot
     per_vehicle = {}
     for uid in uids:
-        veh = vehicles[uid]
-        first_mc = veh.mainctrl_slots[0] if veh.mainctrl_slots else None
-        delay = (
-            first_mc - veh.first_enter_slot + 1
-            if first_mc is not None and veh.first_enter_slot is not None
-            else None
-        )
+        mc, fb = mainctrl[uid], fallback.get(uid)
         per_vehicle[str(uid)] = {
-            "first_enter_slot": veh.first_enter_slot,
-            "mainctrl_slots": list(veh.mainctrl_slots),
-            "enter_delay": delay,
-            "fallback_slot": veh.fallback_slot,
-            "fallback_count": 0 if veh.fallback_slot is None else 1,
-            "done_slot": veh.done_slot,
-            "v2v_used": bool(veh.mainctrl_slots) and veh.fallback_slot is None,
-            "crossing_slots": veh.occupancy_slots,
+            "first_enter_slot": first_enter.get(uid),
+            "mainctrl_slots": mc,
+            "enter_delay": mc[0] - first_enter[uid] + 1 if mc else None,
+            "fallback_slot": fb,
+            "fallback_count": 0 if fb is None else 1,
+            "done_slot": done.get(uid),
+            "v2v_used": bool(mc) and fb is None,
+            "crossing_slots": crossing_slots[uid],
         }
     return {
         "slots_run": slots_run,
-        "all_done": all(vehicles[u].mode is Mode.DONE for u in uids),
+        "all_done": len(done) == len(uids),
         "safety_violations": len(violations),
         "mixed_mode_window": mixed_window,
         "vehicles": per_vehicle,

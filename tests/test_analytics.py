@@ -141,6 +141,11 @@ class TestFitDecayRate:
         with pytest.raises(ValueError):
             fit_decay_rate([PdrSample(100, 0.0), PdrSample(200, 0.5)])
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, -100.0])
+    def test_nonfinite_or_negative_distance_rejected(self, d):
+        with pytest.raises(ValueError, match="distance"):
+            PdrSample(d, 0.5)
+
     def test_noisy_recovery_within_regression_band(self):
         # multiplicative log-normal noise on the delivery ratio; the slope
         # estimate through the origin has variance sigma^2 / sum(d^2)

@@ -320,6 +320,16 @@ class TestFitPdr:
         rc = main(["fit-pdr", "--input", str(src), "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("distance", ["nan", "inf", "-100"])
+    def test_bad_distance_writes_nothing(self, distance, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        src.write_text(f"distance_m,pdr\n100,0.9\n{distance},0.5\n")
+        out = tmp_path / "o"
+        rc = main(["fit-pdr", "--input", str(src), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        assert_one_line_error(capsys)
+
 
 class TestDiagram:
     def test_prints_four_tables(self, capsys):
@@ -330,3 +340,8 @@ class TestDiagram:
         assert "resolution in 3 slots" in out
         assert "resolution in 5 slots" in out
         assert "resolution in 7 slots" in out
+
+    @pytest.mark.parametrize("F", ["-1", "-5"])
+    def test_negative_threshold_is_config_error(self, F, capsys):
+        assert main(["diagram", "--F", F]) == EXIT_CONFIG
+        assert_one_line_error(capsys)

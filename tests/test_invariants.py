@@ -1,12 +1,16 @@
-"""Cross-cutting invariants: message-set bounds, counter bounds, and the
-ordering between a yielder's and a proceeder's collision-area occupancy."""
+"""Cross-cutting invariants: message-set bounds, counter bounds, the
+ordering between a yielder's and a proceeder's collision-area occupancy, and
+the agreement of the event log with the recorded rows."""
 
 import itertools
+
+import pytest
+from test_golden import DIGESTS, _reference
 
 from icsim.channel import Scripted
 from icsim.kinematics import IntersectionGeometry, Route, collision_area
 from icsim.protocol import simulate_enter_round
-from icsim.scenarios import bundled_scenario
+from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import Scenario, VehicleSpec, run_scenario
 
 GEO = IntersectionGeometry(x_s=200.0, w=3.5)
@@ -100,3 +104,38 @@ class TestYieldOrdering:
         trace = run_scenario(scenario)
         assert trace.summary["all_done"]
         self._assert_ordering(trace)
+
+
+class TestEventLog:
+    """The summary is folded from the event log; the rows are recorded
+    beside it, so each event must be where the rows put it."""
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_events_agree_with_rows(self, name, tmp_path):
+        trace = run_scenario(resolve_scenario(_reference(name, tmp_path)))
+        assert [e[0] for e in trace.events] == sorted(e[0] for e in trace.events)
+        for spec in trace.scenario.vehicles:
+            rows = [r for r in trace.rows if r.uid == spec.uid]
+            logged: dict[str, list[int]] = {}
+            for slot, uid, event in trace.events:
+                if uid == spec.uid:
+                    logged.setdefault(event, []).append(slot)
+            # a round's first ENTER follows a slot in which the car sent nothing
+            first_enters = [
+                r.slot
+                for i, r in enumerate(rows)
+                if "ENTER:" in r.sent and (i == 0 or not rows[i - 1].sent)
+            ]
+            mainctrl = [r.slot for r in rows if r.action == "InitiateMainCtrl"]
+            fallbacks = [r.slot for r in rows if r.action == "SwitchToSD"]
+            done = [r.slot for r in rows if r.mode == "DONE"][:1]
+            assert logged.get("FIRST_ENTER", []) == first_enters
+            assert logged.get("MAINCTRL", []) == mainctrl
+            assert logged.get("SWITCH_SD", []) == fallbacks
+            assert logged.get("EXITED", []) == done
+            stats = trace.summary["vehicles"][str(spec.uid)]
+            assert stats["first_enter_slot"] == (first_enters[0] if first_enters else None)
+            assert stats["mainctrl_slots"] == mainctrl
+            assert stats["fallback_slot"] == (fallbacks[-1] if fallbacks else None)
+            assert stats["done_slot"] == (done[0] if done else None)
+            assert stats["crossing_slots"] == sum(1 for r in rows if r.occupancy)

@@ -17,6 +17,7 @@ from icsim.protocol import (
     SensedVehicle,
     SensorSnapshot,
     closed_form_enter_delay,
+    competitors,
     enter_step,
     exit_step,
     planned_tau,
@@ -78,6 +79,10 @@ class TestDiagramReproduction:
         res = simulate_enter_round(3, F=8)
         assert res.agreed()
         assert res.resolution_slot() == 3
+
+    def test_rejects_negative_threshold(self):
+        with pytest.raises(ValueError, match="F must be nonnegative"):
+            simulate_enter_round(2, F=-1)
 
 
 class TestClosedFormEquivalence:
@@ -271,7 +276,6 @@ def make_snapshot(
         est=VehicleEstimate(uid=uid, x_hat=x, v=v, a=a, dx_bound=0.0),
         route=Route(*route),
         x_s=x_s,
-        cell_w=3.5,
         a_des=a,
         resume_accel=2.0,
         radius=150.0,
@@ -340,6 +344,17 @@ class TestSdMainStep:
         assert st.f == 0 and st.t == 0
         assert st.own_enter is not None
 
+    def test_competitors_are_other_lanes_in_radius_not_exited(self):
+        snap = make_snapshot(
+            others=[
+                sensed(2, "H2R", dist=95.0),
+                sensed(3, "H3R", dist=151.0),  # beyond the 150 m radius
+                sensed(4, "H4R", dist=5.0, exited=True),
+                sensed(5, "H1R", dist=60.0),  # own lane: followed, not a competitor
+            ]
+        )
+        assert competitors(snap) == {2}
+
     def test_exited_vehicles_are_invisible(self):
         st = ProtocolState(uid=1, F=8)
         snap = make_snapshot(others=[sensed(2, "H2R", dist=10.0, exited=True)])
@@ -348,31 +363,18 @@ class TestSdMainStep:
 
 
 class TestExitStep:
-    def crossing_state(self):
+    def test_rejects_a_crossing_vehicle(self):
+        # leaving the intersection is the engine's exit rule (test_sim.TestExitRule)
         st = ProtocolState(uid=1, F=8)
         st.mode = Mode.CROSSING
-        return st
-
-    def test_crossing_exits_when_estimate_clears(self):
-        st = self.crossing_state()
-        # straight route: cleared at x_s + w
-        snap = make_snapshot(x=204.0)
-        st, action = exit_step(st, frozenset(), snap)
-        assert action is Action.EXITED
-        assert st.mode is Mode.DONE
-
-    def test_crossing_not_done_inside(self):
-        st = self.crossing_state()
-        snap = make_snapshot(x=199.0)
-        st, action = exit_step(st, frozenset(), snap)
-        assert action is Action.NONE
-        assert st.mode is Mode.CROSSING
+        with pytest.raises(ValueError, match="AWAIT_EXIT"):
+            exit_step(st, frozenset(), make_snapshot(x=204.0))
 
     def test_yielder_waits_for_priority_exit(self):
         st = ProtocolState(uid=1, F=8)
         st.mode = Mode.AWAIT_EXIT
         snap = make_snapshot(others=[sensed(2, "H2R", dist=5.0, light=True)])
-        st, _ = exit_step(st, frozenset({2}), snap)
+        st = exit_step(st, frozenset({2}), snap)
         assert st.mode is Mode.AWAIT_EXIT
 
     def test_yielder_reenters_against_remaining(self):
@@ -384,7 +386,7 @@ class TestExitStep:
                 sensed(3, "H3R", dist=40.0),
             ]
         )
-        st, _ = exit_step(st, frozenset({2}), snap)
+        st = exit_step(st, frozenset({2}), snap)
         assert st.mode is Mode.V2V_ENTER
         assert st.expected_peers == {3}
         assert st.f == 0 and st.t == 0
@@ -393,7 +395,7 @@ class TestExitStep:
         st = ProtocolState(uid=1, F=8)
         st.mode = Mode.AWAIT_EXIT
         snap = make_snapshot(others=[sensed(2, "H2R", dist=8.0, exited=True)])
-        st, _ = exit_step(st, frozenset({2}), snap)
+        st = exit_step(st, frozenset({2}), snap)
         assert st.mode is Mode.CROSSING
 
     def test_abandoned_priority_car_releases_the_yielder(self):
@@ -401,7 +403,7 @@ class TestExitStep:
         st = ProtocolState(uid=1, F=8)
         st.mode = Mode.AWAIT_EXIT
         parked = sensed(2, "H2R", dist=4.0, light=False, stopped=40)
-        st, _ = exit_step(st, frozenset({2}), make_snapshot(others=[parked]))
+        st = exit_step(st, frozenset({2}), make_snapshot(others=[parked]))
         assert st.mode is Mode.V2V_ENTER
         assert st.expected_peers == {2}
 
@@ -409,5 +411,5 @@ class TestExitStep:
         st = ProtocolState(uid=1, F=8)
         st.mode = Mode.AWAIT_EXIT
         queued = sensed(2, "H2R", dist=4.0, light=True, stopped=40)
-        st, _ = exit_step(st, frozenset({2}), make_snapshot(others=[queued]))
+        st = exit_step(st, frozenset({2}), make_snapshot(others=[queued]))
         assert st.mode is Mode.AWAIT_EXIT

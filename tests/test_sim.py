@@ -17,6 +17,7 @@ from icsim.sim import (
     VehicleSpec,
     _apply_control,
     _integrate,
+    _protocol_phase,
     _sense,
     _Vehicle,
     check_liveness,
@@ -236,6 +237,61 @@ class TestControl:
         veh = _slowed_vehicle(x=target - 3.9, v=0.37)
         assert self.drive(veh, ("stop_at", target), lambda ve: ve.v == 0.0) <= 35
         assert veh.x == pytest.approx(target, abs=0.01)
+
+
+class TestExitRule:
+    """The engine's one exit rule: a crossing car and a going fallback car
+    are done once the estimate less its error bound has cleared the path."""
+
+    scenario = two_car(Perfect())
+    route = Route("H1R", "H3L")  # straight: cleared at x_s + w
+    dx = 1.5  # position-error bound
+
+    def car(self, mode, x_est):
+        spec = VehicleSpec(
+            uid=1, route=self.route, x=190.0, v=10.0, a=0.0, dx_bound=self.dx, x_est=x_est
+        )
+        veh = _Vehicle(spec, F=3)
+        veh.proto.mode = mode
+        veh.fallback_go = mode is Mode.SD_FALLBACK
+        return veh
+
+    @pytest.mark.parametrize("mode, action", [(Mode.CROSSING, "Exited"), (Mode.SD_FALLBACK, "")])
+    def test_done_once_estimate_less_bound_clears(self, mode, action):
+        veh = self.car(mode, self.scenario.geometry.path_exit(self.route) + self.dx)
+        assert _sense({1: veh}, [1], self.scenario, slot=7) == {}  # no sensing needed
+        events = []
+        assert _protocol_phase(veh, None, self.scenario, 7, events) == (frozenset(), action)
+        assert veh.mode is Mode.DONE
+        assert events == [(7, 1, "EXITED")]
+
+    @pytest.mark.parametrize("mode", [Mode.CROSSING, Mode.SD_FALLBACK])
+    @pytest.mark.parametrize("behind", [0.01, 5.0])
+    def test_not_done_while_the_bound_reaches_inside(self, mode, behind):
+        veh = self.car(mode, self.scenario.geometry.path_exit(self.route) + self.dx - behind)
+        events = []
+        assert _protocol_phase(veh, None, self.scenario, 7, events) == (frozenset(), "")
+        assert veh.mode is mode
+        assert events == []
+        assert veh.control == ("cruise",)
+
+    @pytest.mark.parametrize(
+        "channel", [Perfect(), Scripted(all_lost=frozenset({1, 2}))], ids=["v2v", "fallback"]
+    )
+    def test_run_exits_in_the_slot_after_clearing(self, channel):
+        # Perfect: both cars cross on a verdict; all lost: both fall back
+        base = two_car(channel)
+        scenario = dataclasses.replace(
+            base, vehicles=tuple(dataclasses.replace(v, dx_bound=self.dx) for v in base.vehicles)
+        )
+        trace = run_scenario(scenario)
+        kinds = {name for _, _, name in trace.events}
+        assert ("FALLBACK_GO" in kinds) == (channel != Perfect())
+        for spec in scenario.vehicles:
+            exit_x = scenario.geometry.path_exit(spec.route) + self.dx
+            xs = {r.slot: r.x for r in trace.rows if r.uid == spec.uid}
+            done = trace.summary["vehicles"][str(spec.uid)]["done_slot"]
+            assert xs[done - 1] >= exit_x > xs[done - 2]
 
 
 class TestSafetyChecker:
