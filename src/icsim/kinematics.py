@@ -140,12 +140,17 @@ class IntersectionGeometry:
 
     def cell_at(self, route: Route, x: float) -> str | None:
         """Cell occupied by a point vehicle at path position ``x``, if any."""
-        rel = x - self.x_col
-        if rel < 0:
-            return None
-        idx = int(rel // self.w)
-        cells = self.occupancy(route)
-        return cells[idx] if idx < len(cells) else None
+        return path_cell(self.occupancy(route), self.x_col, self.w, x)
+
+
+def path_cell(cells: tuple[str, ...], x_col: float, w: float, x: float) -> str | None:
+    """The cell of a path ``cells``, each ``w`` long from ``x_col``, that
+    holds path position ``x``, if any."""
+    rel = x - x_col
+    if rel < 0:
+        return None
+    idx = int(rel // w)
+    return cells[idx] if idx < len(cells) else None
 
 
 @dataclass(frozen=True)

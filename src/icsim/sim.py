@@ -21,6 +21,7 @@ from .kinematics import (
     Route,
     VehicleEstimate,
     enter_trigger,
+    path_cell,
     priority_decision,
     yield_acceleration,
 )
@@ -131,6 +132,9 @@ class Scenario:
                 raise ScenarioError(f"vehicle {v.uid} has negative initial speed")
             if v.v <= 0 and v.a <= 0 and self.resume_accel <= 0:
                 raise ScenarioError(f"vehicle {v.uid} can never reach the intersection")
+            step = v.v * self.T
+            if v.v > 0 and (step == 0 or not math.isfinite(self.R / step)):
+                raise ScenarioError(f"vehicle {v.uid} is too slow: R / (v*T) is not finite")
 
 
 @dataclass(frozen=True)
@@ -178,22 +182,26 @@ _HEADINGS = ((0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0))
 _TURN = {"right": -1, "straight": 0, "left": 1}
 
 
-def _position_2d(route: Route, x: float, x_s: float) -> tuple[float, float]:
-    r = x_s - x
-    hx, hy = _HEADINGS[route.approach]
-    if r >= 0:
-        return (-r * hx, -r * hy)
-    k = (route.approach + _TURN[route.maneuver]) % 4
-    ox, oy = _HEADINGS[k]
-    return (-r * ox, -r * oy)
+def _position_2d(veh: _Vehicle, x_s: float) -> tuple[float, float]:
+    r = x_s - veh.x
+    hx, hy = veh.heading_in if r >= 0 else veh.heading_out
+    return (-r * hx, -r * hy)
 
 
 class _Vehicle:
-    """Mutable per-vehicle simulation state."""
+    """Mutable per-vehicle simulation state, and the facts of its route that
+    the geometry fixes: path cells, entry and exit positions, the heading in
+    and the heading out."""
 
     __slots__ = (
         "spec",
+        "uid",
         "route",
+        "cells",
+        "x_col",
+        "exit_x",
+        "heading_in",
+        "heading_out",
         "x",
         "x_est",
         "v",
@@ -211,9 +219,15 @@ class _Vehicle:
         "stopped_since",
     )
 
-    def __init__(self, spec: VehicleSpec, F: int):
+    def __init__(self, spec: VehicleSpec, F: int, geo: IntersectionGeometry):
         self.spec = spec
-        self.route = spec.route
+        self.uid = spec.uid
+        self.route = route = spec.route
+        self.cells = geo.occupancy(route)
+        self.x_col = geo.x_col
+        self.exit_x = geo.path_exit(route)
+        self.heading_in = _HEADINGS[route.approach]
+        self.heading_out = _HEADINGS[(route.approach + _TURN[route.maneuver]) % 4]
         self.x = spec.x
         self.x_est = spec.est_x
         self.v = spec.v
@@ -230,14 +244,6 @@ class _Vehicle:
         self.fallback_go = False
         self.stopped_since: int | None = None
 
-    @property
-    def uid(self) -> int:
-        return self.spec.uid
-
-    @property
-    def mode(self) -> Mode:
-        return self.proto.mode
-
     def estimate(self) -> VehicleEstimate:
         return VehicleEstimate(
             uid=self.uid,
@@ -253,11 +259,12 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     slot budget runs out. Returns the full trace; with ``record=False`` the
     per-slot rows are omitted (summary, events and safety bookkeeping are
     always kept)."""
-    geo = scenario.geometry
-    vehicles = {
-        spec.uid: _Vehicle(spec, scenario.F)
+    w = scenario.geometry.w
+    cars = [
+        _Vehicle(spec, scenario.F, scenario.geometry)
         for spec in sorted(scenario.vehicles, key=lambda s: s.uid)
-    }
+    ]
+    vehicles = {veh.uid: veh for veh in cars}
     uids = sorted(vehicles)
     # one named stream per receiver; deterministic and disjoint across
     # vehicles (deterministic channels never touch them)
@@ -277,49 +284,55 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         snapshots = _sense(vehicles, uids, scenario, slot)
         outboxes: dict[int, frozenset] = {}
         actions: dict[int, str] = {}
-        for uid in uids:
-            outboxes[uid], actions[uid] = _protocol_phase(
-                vehicles[uid], snapshots.get(uid), scenario, slot, events
+        for veh in cars:
+            outboxes[veh.uid], actions[veh.uid] = _protocol_phase(
+                veh, snapshots.get(veh.uid), scenario, slot, events
             )
 
         delivered, lost = _exchange(vehicles, uids, outboxes, scenario, rngs, slot)
-        cells: dict[int, str | None] = {}
-        for uid in uids:
-            veh = vehicles[uid]
+        # modes change only in the protocol phase, so this one pass over the
+        # cars also gives the mixed-mode and the all-done tests
+        holder: dict[str, int] = {}
+        any_v2v = any_fall = False
+        all_done = True
+        for veh in cars:
+            uid = veh.uid
             veh.pending_inbox = delivered[uid]
             a_eff = _apply_control(veh, scenario)
             _integrate(veh, a_eff, scenario.T, slot)
-            cells[uid] = cell = geo.cell_at(veh.route, veh.x)
+            cell = path_cell(veh.cells, veh.x_col, w, veh.x)
             if cell is not None:
                 crossing_slots[uid] += 1
+                if cell in holder:
+                    violations.append((slot, cell, (holder[cell], uid)))
+                else:
+                    holder[cell] = uid
+            mode = veh.proto.mode
+            all_done = all_done and mode is Mode.DONE
+            any_v2v = any_v2v or mode is Mode.V2V_ENTER
+            any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
                 rows.append(
                     SlotRecord(
                         slot=slot,
                         uid=uid,
-                        mode=veh.mode.value,
+                        mode=mode.value,
                         x=veh.x,
                         v=veh.v,
                         a=a_eff,
                         f=veh.proto.f,
-                        sent=";".join(sorted(encode_message(m) for m in outboxes[uid])),
-                        received=";".join(
-                            sorted(encode_message(m) for m in delivered[uid])
-                        ),
-                        lost=";".join(sorted(encode_message(m) for m in lost[uid])),
+                        sent=_wire(outboxes[uid]),
+                        received=_wire(delivered[uid]),
+                        lost=_wire(lost[uid]),
                         occupancy=cell or "",
                         action=actions[uid],
                     )
                 )
 
-        _check_cooccupancy(cells, slot, violations)
-
-        any_v2v = any(vehicles[u].mode is Mode.V2V_ENTER for u in uids)
-        any_fall = any(vehicles[u].mode is Mode.SD_FALLBACK for u in uids)
         mixed_run = mixed_run + 1 if (any_v2v and any_fall) else 0
         mixed_window = max(mixed_window, mixed_run)
 
-        if all(vehicles[u].mode is Mode.DONE for u in uids):
+        if all_done:
             break
 
     summary = _summarize(events, uids, slots_run, violations, mixed_window, crossing_slots)
@@ -337,7 +350,7 @@ def _sense(vehicles, uids, scenario, slot) -> dict[int, SensorSnapshot]:
     """Build sensor snapshots, but only for vehicles that will read them
     this slot: V2V exchanges, crossing, going and finished vehicles run on
     messages and own state alone."""
-    geo = scenario.geometry
+    x_s = scenario.geometry.x_s
     need = []
     for u in uids:
         veh = vehicles[u]
@@ -348,37 +361,41 @@ def _sense(vehicles, uids, scenario, slot) -> dict[int, SensorSnapshot]:
             need.append(u)
     if not need:
         return {}
-    pos2d = {u: _position_2d(vehicles[u].route, vehicles[u].x, geo.x_s) for u in uids}
-    sensed = {}
-    for o_uid in uids:
-        other = vehicles[o_uid]
-        sensed[o_uid] = SensedVehicle(
-            uid=o_uid,
-            clane=other.route.clane,
-            x=other.x,
-            dist_to_center=abs(geo.x_s - other.x),
-            v=other.v,
-            competing_light=other.mode in (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
-            or (other.mode is Mode.SD_FALLBACK and other.fallback_go),
-            exited=other.x >= geo.path_exit(other.route),
-            stopped_since=other.stopped_since,
-        )
+    pos2d = {u: _position_2d(vehicles[u], x_s) for u in uids}
+    r2 = scenario.sensing_radius**2
+    sensed: dict[int, SensedVehicle] = {}  # each car as the others see it, built once
     snapshots = {}
     for uid in need:
         me = vehicles[uid]
+        mx, my = pos2d[uid]
         others = []
         for o_uid in uids:
             if o_uid == uid:
                 continue
-            dx = pos2d[uid][0] - pos2d[o_uid][0]
-            dy = pos2d[uid][1] - pos2d[o_uid][1]
-            if dx * dx + dy * dy > scenario.sensing_radius**2:
+            dx = mx - pos2d[o_uid][0]
+            dy = my - pos2d[o_uid][1]
+            if dx * dx + dy * dy > r2:
                 continue
-            others.append(sensed[o_uid])
+            o = sensed.get(o_uid)
+            if o is None:
+                other = vehicles[o_uid]
+                mode = other.proto.mode
+                o = sensed[o_uid] = SensedVehicle(
+                    uid=o_uid,
+                    clane=other.route.clane,
+                    x=other.x,
+                    dist_to_center=abs(x_s - other.x),
+                    v=other.v,
+                    competing_light=mode in (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
+                    or (mode is Mode.SD_FALLBACK and other.fallback_go),
+                    exited=other.x >= other.exit_x,
+                    stopped_since=other.stopped_since,
+                )
+            others.append(o)
         snapshots[uid] = SensorSnapshot(
             est=me.estimate(),
             route=me.route,
-            x_s=geo.x_s,
+            x_s=x_s,
             a_des=me.a_des,
             resume_accel=scenario.resume_accel,
             radius=scenario.sensing_radius,
@@ -393,8 +410,7 @@ def _protocol_phase(
 ) -> tuple[frozenset, str]:
     """Run one vehicle's per-slot protocol logic and every transition that
     reads its own state; returns its outbox and the trace's action column."""
-    geo = scenario.geometry
-    mode = veh.mode
+    mode = veh.proto.mode
     veh.control = _CRUISE
 
     if mode is Mode.SD_APPROACH:
@@ -404,7 +420,7 @@ def _protocol_phase(
                 scenario.sigma_x,
                 scenario.R,
                 scenario.T,
-                geo.x_col,
+                veh.x_col,
                 scenario.epsilon,
             )
             if not veh.triggered:
@@ -420,7 +436,7 @@ def _protocol_phase(
         if decision is SDDecision.SWITCH_TO_V2V:
             events.append((slot, veh.uid, "SWITCH_V2V"))
         elif decision is SDDecision.USE_SD_CROSS:
-            if veh.x_est >= geo.x_col:
+            if veh.x_est >= veh.x_col:
                 _cross(veh, slot, events)
         elif decision is SDDecision.USE_SD_FOLLOW:
             leaders = [
@@ -431,7 +447,7 @@ def _protocol_phase(
             target = min(o.x for o in leaders) - FOLLOW_GAP if leaders else None
             veh.control = ("follow", target)
         else:
-            veh.control = ("stop_at", geo.x_col - STOP_MARGIN)
+            veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
         return _NO_MAIL, decision.value
 
     if mode is Mode.V2V_ENTER:
@@ -439,19 +455,19 @@ def _protocol_phase(
 
     if mode is Mode.AWAIT_EXIT:
         veh.proto = exit_step(veh.proto, veh.proceed_uids, snap)
-        if veh.mode is Mode.V2V_ENTER:
+        if veh.proto.mode is Mode.V2V_ENTER:
             events.append((slot, veh.uid, "REENTER"))
             # hold at the collision boundary until the new round's verdict
             if veh.guard_x is not None:
                 veh.control = ("stop_at", veh.guard_x)
-        elif veh.mode is Mode.CROSSING:
+        elif veh.proto.mode is Mode.CROSSING:
             _cross(veh, slot, events)
         else:
             veh.control = ("yield",)
         return _NO_MAIL, ""
 
     if mode is Mode.CROSSING or (mode is Mode.SD_FALLBACK and veh.fallback_go):
-        if veh.x_est - veh.spec.dx_bound >= geo.path_exit(veh.route):
+        if veh.x_est - veh.spec.dx_bound >= veh.exit_x:
             veh.proto.mode = Mode.DONE
             events.append((slot, veh.uid, "EXITED"))
             # the action column names only the exit of a V2V crossing
@@ -459,10 +475,10 @@ def _protocol_phase(
         return _NO_MAIL, ""
 
     if mode is Mode.SD_FALLBACK:
-        veh.control = ("stop_at", geo.x_col - STOP_MARGIN)
+        veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
         # a car already occupying the intersection never parks there: it
         # finishes the crossing carefully instead of queueing
-        if veh.x >= geo.x_col or (veh.v == 0.0 and _my_turn(veh, snap, geo)):
+        if veh.x >= veh.x_col or (veh.v == 0.0 and _my_turn(veh, snap)):
             veh.fallback_go = True
             events.append((slot, veh.uid, "FALLBACK_GO"))
             veh.control = _CRUISE
@@ -485,7 +501,7 @@ def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
         _apply_verdict(veh, scenario, slot, events)
     elif io.action is Action.SWITCH_TO_SD:
         events.append((slot, veh.uid, "SWITCH_SD"))
-        veh.control = ("stop_at", scenario.geometry.x_col - STOP_MARGIN)
+        veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
     elif veh.guard_x is not None:
         # a re-entered yielder keeps holding at its collision boundary
         # while the fresh handshake runs
@@ -493,7 +509,7 @@ def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
     return io.outbox, "" if io.action is Action.NONE else io.action.value
 
 
-def _my_turn(veh: _Vehicle, snap: SensorSnapshot, geo: IntersectionGeometry) -> bool:
+def _my_turn(veh: _Vehicle, snap: SensorSnapshot) -> bool:
     """Four-way-stop etiquette: go only when nobody signals, nobody is in
     the box, and no earlier-stopped vehicle is still waiting at its line."""
     mine = (veh.stopped_since if veh.stopped_since is not None else 1 << 30, veh.uid)
@@ -502,7 +518,7 @@ def _my_turn(veh: _Vehicle, snap: SensorSnapshot, geo: IntersectionGeometry) -> 
             continue
         if o.competing_light:
             return False
-        if o.x >= geo.x_s - geo.w:
+        if o.x >= veh.x_col:
             return False
         if o.stopped_since is not None and (o.stopped_since, o.uid) < mine:
             return False
@@ -527,7 +543,7 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
         return
     st.mode = Mode.AWAIT_EXIT
     my_col = verdict.collision[veh.uid]
-    first_cell = next(c for c in geo.occupancy(veh.route) if c in my_col)
+    first_cell = next(c for c in veh.cells if c in my_col)
     col_entry = geo.cell_entry(veh.route, first_cell)
     est = veh.estimate()
     D = geo.w + scenario.d_margin
@@ -540,26 +556,30 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
 
 
 def _exchange(vehicles, uids, outboxes, scenario, rngs, slot):
-    """Deliver this slot's outboxes through the channel model."""
-    geo = scenario.geometry
+    """Deliver this slot's outboxes through the channel model. A slot in
+    which nobody sends gives one shared all-empty mapping: with no link the
+    channel is not consulted and ``prior_lost`` stays as it is."""
+    senders = [u for u in uids if outboxes[u]]
+    if not senders:
+        idle = dict.fromkeys(uids, _NO_MAIL)
+        return idle, idle
+    x_s = scenario.geometry.x_s
     model = scenario.channel
     delivered = {u: set() for u in uids}
     lost = {u: set() for u in uids}
-    senders = [u for u in uids if outboxes.get(u)]
     for r_uid in uids:
         recv = vehicles[r_uid]
-        listening = recv.mode is Mode.V2V_ENTER or (
-            recv.mode is Mode.SD_APPROACH and recv.triggered
-        )
+        mode = recv.proto.mode
+        listening = mode is Mode.V2V_ENTER or (mode is Mode.SD_APPROACH and recv.triggered)
         if not listening:
             continue
         links = []
-        rp = _position_2d(recv.route, recv.x, geo.x_s)
+        rp = _position_2d(recv, x_s)
         for s_uid in senders:
             if s_uid == r_uid:
                 continue
             snd = vehicles[s_uid]
-            sp = _position_2d(snd.route, snd.x, geo.x_s)
+            sp = _position_2d(snd, x_s)
             d = math.hypot(rp[0] - sp[0], rp[1] - sp[1])
             if d > scenario.R:
                 lost[r_uid] |= outboxes[s_uid]
@@ -574,6 +594,11 @@ def _exchange(vehicles, uids, outboxes, scenario, rngs, slot):
         {u: frozenset(delivered[u]) for u in uids},
         {u: frozenset(lost[u]) for u in uids},
     )
+
+
+def _wire(msgs: frozenset) -> str:
+    """A trace column: the messages' wire records, sorted and ;-joined."""
+    return ";".join(sorted(encode_message(m) for m in msgs)) if msgs else ""
 
 
 def _apply_control(veh: _Vehicle, scenario) -> float:
@@ -648,17 +673,6 @@ def _integrate(veh: _Vehicle, a: float, T: float, slot: int) -> float:
     else:
         veh.stopped_since = None
     return a
-
-
-def _check_cooccupancy(cells: dict[int, str | None], slot, violations):
-    holder: dict[str, int] = {}
-    for uid, cell in cells.items():
-        if cell is None:
-            continue
-        if cell in holder:
-            violations.append((slot, cell, (holder[cell], uid)))
-        else:
-            holder[cell] = uid
 
 
 def _summarize(events, uids, slots_run, violations, mixed_window, crossing_slots) -> dict:

@@ -123,6 +123,9 @@ class TestMalformedScenario:
             (("vehicles", 0, "x"), math.nan),
             (("vehicles", 0, "v"), math.nan),
             (("vehicles", 0, "dx_bound"), -1),
+            # subnormal speeds: the trigger's look-ahead R / (v*T) overflows
+            (("vehicles", 1, "v"), 1e-320),
+            (("vehicles", 1, "v"), 5e-324),
             (("F",), 1e400),
         ],
         ids=repr,

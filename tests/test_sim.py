@@ -2,11 +2,12 @@
 checking, determinism, kinematic exactness."""
 
 import dataclasses
+import math
 
 import pytest
 
 from icsim.channel import Perfect, Scripted
-from icsim.kinematics import IntersectionGeometry, Route
+from icsim.kinematics import EXIT_LANES, IntersectionGeometry, Route, path_cell
 from icsim.protocol import Mode, planned_tau
 from icsim.scenarios import bundled_scenario
 from icsim.sim import (
@@ -16,7 +17,9 @@ from icsim.sim import (
     SlotRecord,
     VehicleSpec,
     _apply_control,
+    _HEADINGS,
     _integrate,
+    _position_2d,
     _protocol_phase,
     _sense,
     _Vehicle,
@@ -197,7 +200,8 @@ class TestKinematicExactness:
 
 
 def _slowed_vehicle(x, v, v_des=10.0):
-    veh = _Vehicle(VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=x, v=v_des, a=0.0), F=3)
+    spec = VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=x, v=v_des, a=0.0)
+    veh = _Vehicle(spec, F=3, geo=IntersectionGeometry())
     veh.v = v
     return veh
 
@@ -251,7 +255,7 @@ class TestExitRule:
         spec = VehicleSpec(
             uid=1, route=self.route, x=190.0, v=10.0, a=0.0, dx_bound=self.dx, x_est=x_est
         )
-        veh = _Vehicle(spec, F=3)
+        veh = _Vehicle(spec, F=3, geo=self.scenario.geometry)
         veh.proto.mode = mode
         veh.fallback_go = mode is Mode.SD_FALLBACK
         return veh
@@ -262,7 +266,7 @@ class TestExitRule:
         assert _sense({1: veh}, [1], self.scenario, slot=7) == {}  # no sensing needed
         events = []
         assert _protocol_phase(veh, None, self.scenario, 7, events) == (frozenset(), action)
-        assert veh.mode is Mode.DONE
+        assert veh.proto.mode is Mode.DONE
         assert events == [(7, 1, "EXITED")]
 
     @pytest.mark.parametrize("mode", [Mode.CROSSING, Mode.SD_FALLBACK])
@@ -271,7 +275,7 @@ class TestExitRule:
         veh = self.car(mode, self.scenario.geometry.path_exit(self.route) + self.dx - behind)
         events = []
         assert _protocol_phase(veh, None, self.scenario, 7, events) == (frozenset(), "")
-        assert veh.mode is mode
+        assert veh.proto.mode is mode
         assert events == []
         assert veh.control == ("cruise",)
 
@@ -292,6 +296,47 @@ class TestExitRule:
             xs = {r.slot: r.x for r in trace.rows if r.uid == spec.uid}
             done = trace.summary["vehicles"][str(spec.uid)]["done_slot"]
             assert xs[done - 1] >= exit_x > xs[done - 2]
+
+
+class TestRouteFacts:
+    """The route facts a car resolves once from the geometry give the same
+    cells, exit and positions as the geometry itself."""
+
+    ROUTES = sorted(IntersectionGeometry().occupancy_table)
+    GEOMETRIES = [IntersectionGeometry(), IntersectionGeometry(x_s=150.0, w=4.5)]
+
+    @staticmethod
+    def car(route, geo):
+        return _Vehicle(VehicleSpec(uid=1, route=route, x=0.0, v=10.0, a=0.0), F=3, geo=geo)
+
+    @pytest.mark.parametrize("geo", GEOMETRIES, ids=["default", "wide"])
+    @pytest.mark.parametrize("cl, nl", ROUTES)
+    def test_cell_at_every_boundary_and_one_ulp_either_side(self, cl, nl, geo):
+        route = Route(cl, nl)
+        veh = self.car(route, geo)
+        xs = [geo.x_col - 1.0, geo.x_s, veh.exit_x + 1.0]
+        for k in range(len(geo.occupancy(route)) + 2):
+            b = geo.x_col + k * geo.w
+            xs += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+        for x in xs:
+            assert path_cell(veh.cells, veh.x_col, geo.w, x) == geo.cell_at(route, x), x
+        assert {geo.cell_at(route, x) for x in xs} == {None, *geo.occupancy(route)}
+
+    @pytest.mark.parametrize("geo", GEOMETRIES, ids=["default", "wide"])
+    @pytest.mark.parametrize("cl, nl", ROUTES)
+    def test_exit_and_2d_position_continuous_across_the_center(self, cl, nl, geo):
+        route = Route(cl, nl)
+        veh = self.car(route, geo)
+        assert veh.exit_x == geo.path_exit(route)
+        assert veh.x_col == geo.x_col
+        # the car leaves along its exit lane, away from the center
+        assert veh.heading_out == tuple(-c for c in _HEADINGS[EXIT_LANES.index(nl)])
+        # a path position d from x_s, on either side, lies d from the center
+        for d in (0.0, 1e-9, 1e-3, 1.0):
+            for x in (geo.x_s - d, geo.x_s + d):
+                veh.x = x
+                r = math.hypot(*_position_2d(veh, geo.x_s))
+                assert r == pytest.approx(abs(x - geo.x_s), rel=1e-12, abs=0.0)
 
 
 class TestSafetyChecker:
