@@ -149,8 +149,9 @@ def path_cell(cells: tuple[str, ...], x_col: float, w: float, x: float) -> str |
     rel = x - x_col
     if rel < 0:
         return None
-    idx = int(rel // w)
-    return cells[idx] if idx < len(cells) else None
+    # compare before int(): a subnormal w can make the quotient infinite
+    q = rel // w
+    return cells[int(q)] if q < len(cells) else None
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .channel import Scripted, sample_delivery
 from .kinematics import (
@@ -85,8 +86,7 @@ class SlotIO:
     action: Action = Action.NONE
 
 
-@dataclass(frozen=True)
-class SensedVehicle:
+class SensedVehicle(NamedTuple):
     """What onboard sensing reports about one nearby vehicle."""
 
     uid: int
@@ -99,8 +99,7 @@ class SensedVehicle:
     stopped_since: int | None = None
 
 
-@dataclass(frozen=True)
-class SensorSnapshot:
+class SensorSnapshot(NamedTuple):
     """One vehicle's view of the world at the start of a slot."""
 
     est: VehicleEstimate

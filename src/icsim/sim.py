@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,8 @@ STOP_MARGIN = 0.5
 FOLLOW_GAP = 5.0
 _CRUISE = ("cruise",)
 _NO_MAIL: frozenset = frozenset()
+# the modes in which a car's signal lights show it competing for the box
+_SIGNALLING = (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
 
 TRACE_COLUMNS = (
     "slot",
@@ -137,8 +140,7 @@ class Scenario:
                 raise ScenarioError(f"vehicle {v.uid} is too slow: R / (v*T) is not finite")
 
 
-@dataclass(frozen=True)
-class SlotRecord:
+class SlotRecord(NamedTuple):
     slot: int
     uid: int
     mode: str
@@ -281,7 +283,8 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
 
     for slot in range(1, scenario.max_slots + 1):
         slots_run = slot
-        snapshots = _sense(vehicles, uids, scenario, slot)
+        pos: dict[int, tuple[float, float]] = {}  # filled on first use, see _positions
+        snapshots = _sense(vehicles, uids, scenario, pos)
         outboxes: dict[int, frozenset] = {}
         actions: dict[int, str] = {}
         for veh in cars:
@@ -289,7 +292,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                 veh, snapshots.get(veh.uid), scenario, slot, events
             )
 
-        delivered, lost = _exchange(vehicles, uids, outboxes, scenario, rngs, slot)
+        delivered, lost = _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos)
         # modes change only in the protocol phase, so this one pass over the
         # cars also gives the mixed-mode and the all-done tests
         holder: dict[str, int] = {}
@@ -312,22 +315,10 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             any_v2v = any_v2v or mode is Mode.V2V_ENTER
             any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
-                rows.append(
-                    SlotRecord(
-                        slot=slot,
-                        uid=uid,
-                        mode=mode.value,
-                        x=veh.x,
-                        v=veh.v,
-                        a=a_eff,
-                        f=veh.proto.f,
-                        sent=_wire(outboxes[uid]),
-                        received=_wire(delivered[uid]),
-                        lost=_wire(lost[uid]),
-                        occupancy=cell or "",
-                        action=actions[uid],
-                    )
-                )
+                rows.append(SlotRecord(
+                    slot, uid, mode.value, veh.x, veh.v, a_eff, veh.proto.f, _wire(outboxes[uid]),
+                    _wire(delivered[uid]), _wire(lost[uid]), cell or "", actions[uid],
+                ))
 
         mixed_run = mixed_run + 1 if (any_v2v and any_fall) else 0
         mixed_window = max(mixed_window, mixed_run)
@@ -346,61 +337,68 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     )
 
 
-def _sense(vehicles, uids, scenario, slot) -> dict[int, SensorSnapshot]:
-    """Build sensor snapshots, but only for vehicles that will read them
-    this slot: V2V exchanges, crossing, going and finished vehicles run on
-    messages and own state alone."""
-    x_s = scenario.geometry.x_s
+def _positions(pos, vehicles, uids, x_s) -> None:
+    """Every car's 2-D position this slot, into ``pos`` on first use: both
+    sensing and delivery read it, and positions change only in the
+    integrate pass."""
+    if not pos:
+        for u in uids:
+            pos[u] = _position_2d(vehicles[u], x_s)
+
+
+def _sense(vehicles, uids, scenario, pos) -> dict[int, SensorSnapshot]:
+    """Settle the enter trigger of each approaching car that has not fired
+    yet (it reads the car's own estimate alone), then build a snapshot for
+    exactly the cars whose protocol step reads one this slot: a triggered
+    approaching car, a yielder awaiting the exit, and a fallback car that
+    is stopped before its line and not yet going. Every other car runs on
+    messages and its own state alone."""
     need = []
-    for u in uids:
-        veh = vehicles[u]
+    for veh in vehicles.values():
         m = veh.proto.mode
-        if m is Mode.SD_APPROACH or m is Mode.AWAIT_EXIT or (
-            m is Mode.SD_FALLBACK and not veh.fallback_go
+        if m is Mode.SD_APPROACH:
+            if not veh.triggered:
+                veh.triggered = enter_trigger(
+                    veh.estimate(), scenario.sigma_x, scenario.R, scenario.T, veh.x_col,
+                    scenario.epsilon,
+                )
+            if veh.triggered:
+                need.append(veh)
+        elif m is Mode.AWAIT_EXIT or (
+            m is Mode.SD_FALLBACK and not veh.fallback_go and veh.v == 0.0 and veh.x < veh.x_col
         ):
-            need.append(u)
+            need.append(veh)
     if not need:
         return {}
-    pos2d = {u: _position_2d(vehicles[u], x_s) for u in uids}
+    x_s = scenario.geometry.x_s
+    _positions(pos, vehicles, uids, x_s)
     r2 = scenario.sensing_radius**2
     sensed: dict[int, SensedVehicle] = {}  # each car as the others see it, built once
     snapshots = {}
-    for uid in need:
-        me = vehicles[uid]
-        mx, my = pos2d[uid]
+    for me in need:
+        uid = me.uid
+        mx, my = pos[uid]
         others = []
         for o_uid in uids:
             if o_uid == uid:
                 continue
-            dx = mx - pos2d[o_uid][0]
-            dy = my - pos2d[o_uid][1]
+            dx = mx - pos[o_uid][0]
+            dy = my - pos[o_uid][1]
             if dx * dx + dy * dy > r2:
                 continue
             o = sensed.get(o_uid)
             if o is None:
                 other = vehicles[o_uid]
                 mode = other.proto.mode
+                light = mode in _SIGNALLING or (mode is Mode.SD_FALLBACK and other.fallback_go)
                 o = sensed[o_uid] = SensedVehicle(
-                    uid=o_uid,
-                    clane=other.route.clane,
-                    x=other.x,
-                    dist_to_center=abs(x_s - other.x),
-                    v=other.v,
-                    competing_light=mode in (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
-                    or (mode is Mode.SD_FALLBACK and other.fallback_go),
-                    exited=other.x >= other.exit_x,
-                    stopped_since=other.stopped_since,
+                    o_uid, other.route.clane, other.x, abs(x_s - other.x), other.v, light,
+                    other.x >= other.exit_x, other.stopped_since,
                 )
             others.append(o)
         snapshots[uid] = SensorSnapshot(
-            est=me.estimate(),
-            route=me.route,
-            x_s=x_s,
-            a_des=me.a_des,
-            resume_accel=scenario.resume_accel,
-            radius=scenario.sensing_radius,
-            others=tuple(others),
-            v_des=me.v_des,
+            me.estimate(), me.route, x_s, me.a_des, scenario.resume_accel,
+            scenario.sensing_radius, tuple(others), me.v_des,
         )
     return snapshots
 
@@ -414,17 +412,8 @@ def _protocol_phase(
     veh.control = _CRUISE
 
     if mode is Mode.SD_APPROACH:
-        if not veh.triggered:
-            veh.triggered = enter_trigger(
-                veh.estimate(),
-                scenario.sigma_x,
-                scenario.R,
-                scenario.T,
-                veh.x_col,
-                scenario.epsilon,
-            )
-            if not veh.triggered:
-                return _NO_MAIL, ""
+        if not veh.triggered:  # _sense settled the trigger
+            return _NO_MAIL, ""
         # Overhearing an ENTER means an active round wants this vehicle:
         # join it rather than waiting for the signal lights to clear.
         pulled = {m.uid for m in veh.pending_inbox if m.msg_type == "ENTER"}
@@ -555,7 +544,7 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
     veh.control = ("yield",)
 
 
-def _exchange(vehicles, uids, outboxes, scenario, rngs, slot):
+def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos):
     """Deliver this slot's outboxes through the channel model. A slot in
     which nobody sends gives one shared all-empty mapping: with no link the
     channel is not consulted and ``prior_lost`` stays as it is."""
@@ -574,13 +563,13 @@ def _exchange(vehicles, uids, outboxes, scenario, rngs, slot):
         if not listening:
             continue
         links = []
-        rp = _position_2d(recv, x_s)
+        _positions(pos, vehicles, uids, x_s)
+        rx, ry = pos[r_uid]
         for s_uid in senders:
             if s_uid == r_uid:
                 continue
-            snd = vehicles[s_uid]
-            sp = _position_2d(snd, x_s)
-            d = math.hypot(rp[0] - sp[0], rp[1] - sp[1])
+            sx, sy = pos[s_uid]
+            d = math.hypot(rx - sx, ry - sy)
             if d > scenario.R:
                 lost[r_uid] |= outboxes[s_uid]
                 continue

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icsim.cli import EXIT_CONFIG, EXIT_OK, main
@@ -181,6 +181,8 @@ def mutated_scenarios(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(mutated_scenarios())
+# a subnormal cell width: every position past the line is past the path
+@example(fig5b(("geometry",), {"x_s": 200.0, "w": 5e-324}))
 def test_any_mutated_scenario_gives_an_exit_code(data):
     with tempfile.TemporaryDirectory() as tmp:
         assert run_simulate(data, Path(tmp)) in (0, 1, 2, 3)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from test_golden import DIGESTS, _reference
 
+import icsim.sim
 from icsim.channel import Scripted
 from icsim.kinematics import IntersectionGeometry, Route, collision_area
 from icsim.protocol import simulate_enter_round
@@ -139,3 +140,33 @@ class TestEventLog:
             assert stats["fallback_slot"] == (fallbacks[-1] if fallbacks else None)
             assert stats["done_slot"] == (done[0] if done else None)
             assert stats["crossing_slots"] == sum(1 for r in rows if r.occupancy)
+
+
+class TestSensing:
+    """The engine senses only where a step reads the world: every snapshot
+    it builds reaches at least one of the steps that read snapshots."""
+
+    READERS = ("sd_main_step", "exit_step", "competitors", "build_enter", "_my_turn")
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_no_snapshot_goes_unread(self, name, tmp_path, monkeypatch):
+        snapshot = icsim.sim.SensorSnapshot
+        built, read = [], set()
+
+        def build(*args):
+            built.append(snapshot(*args))
+            return built[-1]
+
+        def reader(fn):
+            def wrapped(*args):
+                read.update(id(a) for a in args if isinstance(a, snapshot))
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(icsim.sim, "SensorSnapshot", build)
+        for fn_name in self.READERS:
+            monkeypatch.setattr(icsim.sim, fn_name, reader(getattr(icsim.sim, fn_name)))
+        run_scenario(resolve_scenario(_reference(name, tmp_path)))
+        assert built
+        assert [s for s in built if id(s) not in read] == []

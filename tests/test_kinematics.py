@@ -15,6 +15,7 @@ from icsim.kinematics import (
     collision_area,
     enter_trigger,
     mean_time_to_intersection,
+    path_cell,
     priority_decision,
     yield_acceleration,
 )
@@ -276,6 +277,14 @@ class TestYieldAcceleration:
             return
         lost = (v * tau + 0.5 * a_pr * tau * tau) - (v * tau + 0.5 * a * tau * tau)
         assert lost == pytest.approx(D, rel=1e-9, abs=1e-9)
+
+
+class TestPathCell:
+    @pytest.mark.parametrize("w", [5e-324, 1e-310])
+    def test_subnormal_width_is_past_the_path(self, w):
+        # (x - x_col) / w overflows to infinity: past every cell, not an error
+        assert path_cell(("S1", "S2"), 196.5, w, 200.0) is None
+        assert path_cell(("S1", "S2"), 196.5, w, 196.5) == "S1"
 
 
 class TestEnterTrigger:

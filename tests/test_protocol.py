@@ -1,7 +1,6 @@
 """Protocol state-machine tests: diagram reproduction, exhaustive
 equivalence with the closed-form delay, agreement, fallback containment."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -298,19 +297,59 @@ def sensed(uid, clane, dist, light=False, exited=False, x=None, v=10.0, stopped=
 
 class TestPlannedTau:
     def test_cruising_vehicle_plans_uniform_motion(self):
-        snap = dataclasses.replace(make_snapshot(x=100.0, v=10.0), v_des=10.0)
+        snap = make_snapshot(x=100.0, v=10.0)._replace(v_des=10.0)
         assert planned_tau(snap) == pytest.approx(10.0)
 
     def test_slowed_vehicle_plans_its_resume_ramp(self):
         # 5 -> 10 m/s at 2 m/s^2 takes 2.5 s over 18.75 m; the remaining
         # 81.25 m at 10 m/s take 8.125 s
-        snap = dataclasses.replace(make_snapshot(x=100.0, v=5.0), v_des=10.0)
+        snap = make_snapshot(x=100.0, v=5.0)._replace(v_des=10.0)
         assert planned_tau(snap) == pytest.approx(10.625)
 
     def test_ramp_cut_short_by_the_center(self):
         # from rest, 4 m at 2 m/s^2 take 2 s, before 10 m/s is reached
-        snap = dataclasses.replace(make_snapshot(x=196.0, v=0.0), v_des=10.0)
+        snap = make_snapshot(x=196.0, v=0.0)._replace(v_des=10.0)
         assert planned_tau(snap) == pytest.approx(2.0)
+
+
+class TestSensorRecords:
+    """Sensor records are built by keyword with these field names and
+    defaults, and none of their fields can be assigned."""
+
+    SENSED = dict(
+        uid=2, clane="H2R", x=150.0, dist_to_center=50.0, v=10.0, competing_light=True,
+        exited=False, stopped_since=7,
+    )
+    SNAPSHOT = dict(
+        est=VehicleEstimate(uid=1, x_hat=100.0, v=13.0, a=0.0, dx_bound=0.0),
+        route=Route("H1R", "H3L"), x_s=200.0, a_des=0.5, resume_accel=2.0, radius=150.0,
+        others=(SensedVehicle(**SENSED),), v_des=13.0,
+    )
+
+    @pytest.mark.parametrize(
+        "cls, fields, defaults",
+        [
+            (SensedVehicle, SENSED, {"stopped_since": None}),
+            (SensorSnapshot, SNAPSHOT, {"others": (), "v_des": 0.0}),
+        ],
+        ids=["SensedVehicle", "SensorSnapshot"],
+    )
+    def test_keyword_construction_and_defaults(self, cls, fields, defaults):
+        rec = cls(**fields)
+        assert {name: getattr(rec, name) for name in fields} == fields
+        required = {k: v for k, v in fields.items() if k not in defaults}
+        rec = cls(**required)
+        assert {name: getattr(rec, name) for name in defaults} == defaults
+
+    @pytest.mark.parametrize("name", list(SENSED))
+    def test_sensed_vehicle_is_frozen(self, name):
+        with pytest.raises(AttributeError):
+            setattr(SensedVehicle(**self.SENSED), name, None)
+
+    @pytest.mark.parametrize("name", list(SNAPSHOT))
+    def test_snapshot_is_frozen(self, name):
+        with pytest.raises(AttributeError):
+            setattr(SensorSnapshot(**self.SNAPSHOT), name, None)
 
 
 class TestSdMainStep:

@@ -8,13 +8,14 @@ import pytest
 
 from icsim.channel import Perfect, Scripted
 from icsim.kinematics import EXIT_LANES, IntersectionGeometry, Route, path_cell
-from icsim.protocol import Mode, planned_tau
+from icsim.protocol import Mode, SensorSnapshot, planned_tau
 from icsim.scenarios import bundled_scenario
 from icsim.sim import (
     Scenario,
     ScenarioError,
     SimTrace,
     SlotRecord,
+    TRACE_COLUMNS,
     VehicleSpec,
     _apply_control,
     _HEADINGS,
@@ -223,8 +224,17 @@ class TestControl:
         # a slowed car plans the cruise control it will apply once it
         # proceeds: regain v_des at resume_accel, then hold it
         veh = _slowed_vehicle(x=170.0, v=v)
-        tau = planned_tau(_sense({1: veh}, [1], self.scenario, slot=1)[1])
         x_s = self.scenario.geometry.x_s
+        snap = SensorSnapshot(
+            est=veh.estimate(),
+            route=veh.route,
+            x_s=x_s,
+            a_des=veh.a_des,
+            resume_accel=self.scenario.resume_accel,
+            radius=self.scenario.sensing_radius,
+            v_des=veh.v_des,
+        )
+        tau = planned_tau(snap)
         slots = self.drive(veh, ("cruise",), lambda ve: ve.x >= x_s)
         assert (slots - 1) * self.scenario.T <= tau <= slots * self.scenario.T
 
@@ -263,7 +273,7 @@ class TestExitRule:
     @pytest.mark.parametrize("mode, action", [(Mode.CROSSING, "Exited"), (Mode.SD_FALLBACK, "")])
     def test_done_once_estimate_less_bound_clears(self, mode, action):
         veh = self.car(mode, self.scenario.geometry.path_exit(self.route) + self.dx)
-        assert _sense({1: veh}, [1], self.scenario, slot=7) == {}  # no sensing needed
+        assert _sense({1: veh}, [1], self.scenario, {}) == {}  # no sensing needed
         events = []
         assert _protocol_phase(veh, None, self.scenario, 7, events) == (frozenset(), action)
         assert veh.proto.mode is Mode.DONE
@@ -368,6 +378,27 @@ class TestSafetyChecker:
         assert not trace.summary["all_done"]
         live = check_liveness(trace, 20)
         assert not all(live.values())
+
+
+class TestSlotRecord:
+    """A recorded row is built by keyword with the trace's column names,
+    in the trace's column order, and none of its fields can be assigned."""
+
+    ROW = dict(
+        slot=3, uid=2, mode="V2V_ENTER", x=101.5, v=12.0, a=-0.5, f=1, sent="ACK:2",
+        received="ENTER:1:H1R:H3L:8.5", lost="", occupancy="", action="None",
+    )
+
+    def test_keyword_construction_in_column_order(self):
+        row = SlotRecord(**self.ROW)
+        assert tuple(self.ROW) == TRACE_COLUMNS
+        assert {name: getattr(row, name) for name in TRACE_COLUMNS} == self.ROW
+        assert row == SlotRecord(*self.ROW.values())
+
+    @pytest.mark.parametrize("name", TRACE_COLUMNS)
+    def test_fields_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(SlotRecord(**self.ROW), name, None)
 
 
 class TestScenarioValidation:
