@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -250,6 +251,7 @@ def cmd_diagram(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icsim",

@@ -177,12 +177,11 @@ def planned_tau(snapshot: SensorSnapshot) -> float:
 def competitors(snapshot: SensorSnapshot) -> set[int]:
     """The sensed vehicles an ENTER round runs against: on another lane,
     not yet exited, and within the sensing radius of the center."""
+    clane, radius = snapshot.route.clane, snapshot.radius
     return {
-        o.uid
-        for o in snapshot.others
-        if not o.exited
-        and o.clane != snapshot.route.clane
-        and o.dist_to_center <= snapshot.radius
+        uid
+        for uid, o_clane, _, dist, _, _, exited, _ in snapshot.others
+        if not exited and o_clane != clane and dist <= radius
     }
 
 
@@ -207,17 +206,19 @@ def sd_main_step(
     """
     if state.mode is not Mode.SD_APPROACH:
         raise ValueError("sd_main_step requires SD_APPROACH mode")
-    active = [o for o in sensed.others if not o.exited]
-    in_radius = [o for o in active if o.dist_to_center <= sensed.radius]
-    if not in_radius:
-        return state, SDDecision.USE_SD_CROSS
+    clane, radius = sensed.route.clane, sensed.radius
     own_dist = sensed.x_s - sensed.est.x_hat
-    ahead_same_lane = any(
-        o.clane == sensed.route.clane and o.dist_to_center < own_dist for o in active
-    )
-    if ahead_same_lane:
+    near = ahead = signalling = False
+    for _, o_clane, _, dist, _, light, exited, _ in sensed.others:
+        if not exited:
+            near = near or dist <= radius
+            ahead = ahead or (o_clane == clane and dist < own_dist)
+            signalling = signalling or (o_clane != clane and light)
+    if not near:
+        return state, SDDecision.USE_SD_CROSS
+    if ahead:
         return state, SDDecision.USE_SD_FOLLOW
-    if any(o.competing_light for o in active if o.clane != sensed.route.clane):
+    if signalling:
         return state, SDDecision.USE_SD_WAIT
     state.reset_round(competitors(sensed), build_enter(sensed))
     return state, SDDecision.SWITCH_TO_V2V
@@ -302,6 +303,17 @@ def _register_failure(
     return state, io
 
 
+def still_waiting(uid: int, verdict_proceed: frozenset[int], seen) -> bool:
+    """The wait of yielder ``uid``: whether a sensed record in ``seen`` is
+    another car the verdict lets proceed that has not exited. A proceeding
+    car that is not sensed counts as gone; one sitting still with its signal
+    off has abandoned the crossing (sensor fallback)."""
+    for o_uid, _, _, _, _, light, exited, stopped in seen:
+        if o_uid in verdict_proceed and o_uid != uid and not exited and (stopped is None or light):
+            return True
+    return False
+
+
 def exit_step(
     state: ProtocolState,
     verdict_proceed: frozenset[int],
@@ -315,17 +327,7 @@ def exit_step(
     """
     if state.mode is not Mode.AWAIT_EXIT:
         raise ValueError("exit_step requires AWAIT_EXIT mode")
-    visible = {o.uid: o for o in sensed.others}
-    for uid in verdict_proceed:
-        if uid == state.uid:
-            continue
-        o = visible.get(uid)
-        if o is None or o.exited:
-            continue
-        # a prioritized car sitting still with its signal off has
-        # abandoned the crossing (sensor fallback); stop waiting on it
-        if o.stopped_since is not None and not o.competing_light:
-            continue
+    if still_waiting(state.uid, verdict_proceed, sensed.others):
         return state
     peers = competitors(sensed)
     if peers:

@@ -3,8 +3,10 @@
 Each slot runs five phases in a fixed order: sensing, protocol steps,
 message transmission and delivery, control application, and kinematic
 integration. A message sent in slot t is delivered in slot t and acted on
-in slot t+1; anything not delivered in its sending slot is gone. Identical
-scenario plus seed always produces a byte-identical trace.
+in slot t+1; anything not delivered in its sending slot is gone. Once all
+cars coast (crossing, done or going in the fallback), a slot runs only the
+exit rule, control, integration and the safety log. Identical scenario plus
+seed always produces a byte-identical trace.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .protocol import (
     enter_step,
     exit_step,
     sd_main_step,
+    still_waiting,
 )
 
 #: Gap kept between a stop target and the position actually stopped at.
@@ -280,24 +283,34 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     mixed_run = 0
     mixed_window = 0
     slots_run = 0
+    idle = dict.fromkeys(uids, _NO_MAIL)
+    coasting = False
 
     for slot in range(1, scenario.max_slots + 1):
         slots_run = slot
-        pos: dict[int, tuple[float, float]] = {}  # filled on first use, see _positions
-        snapshots = _sense(vehicles, uids, scenario, pos)
-        outboxes: dict[int, frozenset] = {}
-        actions: dict[int, str] = {}
-        for veh in cars:
-            outboxes[veh.uid], actions[veh.uid] = _protocol_phase(
-                veh, snapshots.get(veh.uid), scenario, slot, events
-            )
-
-        delivered, lost = _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos)
+        if coasting:
+            # every car cruises to or past its exit: nothing is sensed or
+            # sent, and the exit rule is the only transition left
+            outboxes = delivered = lost = idle
+            actions = {
+                veh.uid: "" if veh.proto.mode is Mode.DONE else _exit_rule(veh, slot, events)
+                for veh in cars
+            }
+        else:
+            pos: dict[int, tuple[float, float]] = {}  # filled on first use, see _positions
+            snapshots = _sense(vehicles, uids, scenario, pos)
+            outboxes = {}
+            actions = {}
+            for veh in cars:
+                outboxes[veh.uid], actions[veh.uid] = _protocol_phase(
+                    veh, snapshots.get(veh.uid), scenario, slot, events
+                )
+            delivered, lost = _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos, idle)
         # modes change only in the protocol phase, so this one pass over the
-        # cars also gives the mixed-mode and the all-done tests
+        # cars also gives the mixed-mode, all-done and coasting tests
         holder: dict[str, int] = {}
         any_v2v = any_fall = False
-        all_done = True
+        all_done = coasting = True
         for veh in cars:
             uid = veh.uid
             veh.pending_inbox = delivered[uid]
@@ -312,6 +325,8 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                     holder[cell] = uid
             mode = veh.proto.mode
             all_done = all_done and mode is Mode.DONE
+            # CROSSING, DONE and a going fallback never return to an earlier mode
+            coasting = coasting and (mode is Mode.CROSSING or mode is Mode.DONE or veh.fallback_go)
             any_v2v = any_v2v or mode is Mode.V2V_ENTER
             any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
@@ -346,13 +361,14 @@ def _positions(pos, vehicles, uids, x_s) -> None:
             pos[u] = _position_2d(vehicles[u], x_s)
 
 
-def _sense(vehicles, uids, scenario, pos) -> dict[int, SensorSnapshot]:
+def _sense(vehicles, uids, scenario, pos) -> dict:
     """Settle the enter trigger of each approaching car that has not fired
-    yet (it reads the car's own estimate alone), then build a snapshot for
-    exactly the cars whose protocol step reads one this slot: a triggered
-    approaching car, a yielder awaiting the exit, and a fallback car that
-    is stopped before its line and not yet going. Every other car runs on
-    messages and its own state alone."""
+    yet (it reads the car's own estimate alone), then sense for exactly the
+    cars whose step reads the world this slot: a snapshot for a triggered
+    approaching car, and for a yielder in the slot its wait ends (until then
+    it senses only the cars it waits on); the tuple of cars in range for a
+    fallback car stopped before its line and not yet going. Every other car
+    runs on messages and its own state alone."""
     need = []
     for veh in vehicles.values():
         m = veh.proto.mode
@@ -363,23 +379,24 @@ def _sense(vehicles, uids, scenario, pos) -> dict[int, SensorSnapshot]:
                     scenario.epsilon,
                 )
             if veh.triggered:
-                need.append(veh)
-        elif m is Mode.AWAIT_EXIT or (
-            m is Mode.SD_FALLBACK and not veh.fallback_go and veh.v == 0.0 and veh.x < veh.x_col
-        ):
-            need.append(veh)
+                need.append((veh, uids))
+        elif m is Mode.AWAIT_EXIT:
+            need.append((veh, veh.proceed_uids))
+        elif m is Mode.SD_FALLBACK and not veh.fallback_go and veh.v == 0.0 and veh.x < veh.x_col:
+            need.append((veh, uids))
     if not need:
         return {}
     x_s = scenario.geometry.x_s
     _positions(pos, vehicles, uids, x_s)
     r2 = scenario.sensing_radius**2
     sensed: dict[int, SensedVehicle] = {}  # each car as the others see it, built once
-    snapshots = {}
-    for me in need:
+    out = {}
+    # a yielder whose wait ends is queued again to sense every car
+    for me, scope in need:
         uid = me.uid
         mx, my = pos[uid]
         others = []
-        for o_uid in uids:
+        for o_uid in scope:
             if o_uid == uid:
                 continue
             dx = mx - pos[o_uid][0]
@@ -396,18 +413,23 @@ def _sense(vehicles, uids, scenario, pos) -> dict[int, SensorSnapshot]:
                     other.x >= other.exit_x, other.stopped_since,
                 )
             others.append(o)
-        snapshots[uid] = SensorSnapshot(
-            me.estimate(), me.route, x_s, me.a_des, scenario.resume_accel,
-            scenario.sensing_radius, tuple(others), me.v_des,
-        )
-    return snapshots
+        if scope is not uids:
+            if not still_waiting(uid, scope, others):
+                need.append((me, uids))
+        elif me.proto.mode is Mode.SD_FALLBACK:
+            out[uid] = tuple(others)
+        else:
+            out[uid] = SensorSnapshot(
+                me.estimate(), me.route, x_s, me.a_des, scenario.resume_accel,
+                scenario.sensing_radius, tuple(others), me.v_des,
+            )
+    return out
 
 
-def _protocol_phase(
-    veh: _Vehicle, snap: SensorSnapshot | None, scenario, slot, events
-) -> tuple[frozenset, str]:
+def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozenset, str]:
     """Run one vehicle's per-slot protocol logic and every transition that
-    reads its own state; returns its outbox and the trace's action column."""
+    reads its own state; returns its outbox and the trace's action column.
+    ``snap`` is what ``_sense`` gave the car, or None."""
     mode = veh.proto.mode
     veh.control = _CRUISE
 
@@ -443,7 +465,8 @@ def _protocol_phase(
         return _v2v_step(veh, scenario, slot, events)
 
     if mode is Mode.AWAIT_EXIT:
-        veh.proto = exit_step(veh.proto, veh.proceed_uids, snap)
+        if snap is not None:  # _sense found the cars it yielded to gone
+            veh.proto = exit_step(veh.proto, veh.proceed_uids, snap)
         if veh.proto.mode is Mode.V2V_ENTER:
             events.append((slot, veh.uid, "REENTER"))
             # hold at the collision boundary until the new round's verdict
@@ -456,12 +479,7 @@ def _protocol_phase(
         return _NO_MAIL, ""
 
     if mode is Mode.CROSSING or (mode is Mode.SD_FALLBACK and veh.fallback_go):
-        if veh.x_est - veh.spec.dx_bound >= veh.exit_x:
-            veh.proto.mode = Mode.DONE
-            events.append((slot, veh.uid, "EXITED"))
-            # the action column names only the exit of a V2V crossing
-            return _NO_MAIL, Action.EXITED.value if mode is Mode.CROSSING else ""
-        return _NO_MAIL, ""
+        return _NO_MAIL, _exit_rule(veh, slot, events)
 
     if mode is Mode.SD_FALLBACK:
         veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
@@ -472,6 +490,18 @@ def _protocol_phase(
             events.append((slot, veh.uid, "FALLBACK_GO"))
             veh.control = _CRUISE
     return _NO_MAIL, ""
+
+
+def _exit_rule(veh: _Vehicle, slot, events) -> str:
+    """A crossing or going fallback car is done once its position estimate,
+    less its bound, has cleared the path; returns the action column, which
+    names only the exit of a V2V crossing."""
+    if veh.x_est - veh.spec.dx_bound < veh.exit_x:
+        return ""
+    crossing = veh.proto.mode is Mode.CROSSING
+    veh.proto.mode = Mode.DONE
+    events.append((slot, veh.uid, "EXITED"))
+    return Action.EXITED.value if crossing else ""
 
 
 def _cross(veh: _Vehicle, slot, events) -> None:
@@ -498,18 +528,17 @@ def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
     return io.outbox, "" if io.action is Action.NONE else io.action.value
 
 
-def _my_turn(veh: _Vehicle, snap: SensorSnapshot) -> bool:
-    """Four-way-stop etiquette: go only when nobody signals, nobody is in
-    the box, and no earlier-stopped vehicle is still waiting at its line."""
+def _my_turn(veh: _Vehicle, seen: tuple[SensedVehicle, ...]) -> bool:
+    """Four-way-stop etiquette over the sensed cars ``seen``: go only when
+    nobody signals, nobody is in the box, and no earlier-stopped vehicle is
+    still waiting at its line."""
     mine = (veh.stopped_since if veh.stopped_since is not None else 1 << 30, veh.uid)
-    for o in snap.others:
-        if o.exited:
+    for o_uid, _, x, _, _, light, exited, stopped_since in seen:
+        if exited:
             continue
-        if o.competing_light:
+        if light or x >= veh.x_col:
             return False
-        if o.x >= veh.x_col:
-            return False
-        if o.stopped_since is not None and (o.stopped_since, o.uid) < mine:
+        if stopped_since is not None and (stopped_since, o_uid) < mine:
             return False
     return True
 
@@ -544,13 +573,12 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
     veh.control = ("yield",)
 
 
-def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos):
+def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos, idle):
     """Deliver this slot's outboxes through the channel model. A slot in
-    which nobody sends gives one shared all-empty mapping: with no link the
-    channel is not consulted and ``prior_lost`` stays as it is."""
+    which nobody sends gives the shared all-empty mapping ``idle``: with no
+    link the channel is not consulted and ``prior_lost`` stays as it is."""
     senders = [u for u in uids if outboxes[u]]
     if not senders:
-        idle = dict.fromkeys(uids, _NO_MAIL)
         return idle, idle
     x_s = scenario.geometry.x_s
     model = scenario.channel

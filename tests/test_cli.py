@@ -6,14 +6,16 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icsim.cli import EXIT_CONFIG, EXIT_OK, main
-from icsim.scenarios import bundled_scenario, scenario_to_dict
+from icsim.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
+from icsim.scenarios import bundled_scenario, resolve_scenario, scenario_to_dict
+from icsim.sim import run_scenario, write_trace_csv
 
 
 def read_csv(path):
@@ -52,6 +54,25 @@ class TestSimulate:
     def test_blackout_still_exits_zero(self, tmp_path):
         rc = main(["simulate", "--scenario", "allloss", "--out", str(tmp_path)])
         assert rc == EXIT_OK
+
+    def test_overrides_do_not_carry_over_to_the_next_call(self, tmp_path):
+        # one parser serves every call in a process; the second call must run
+        # with the scenario's own seed and F
+        data = scenario_to_dict(bundled_scenario("fig5c"))
+        data["channel"] = {"type": "distance_iid", "lambda": 0.02}
+        path = tmp_path / "iid.json"
+        path.write_text(json.dumps(data))
+        scenario = resolve_scenario(str(path))
+        traces = []
+        for i, extra in enumerate((["--seed", "5", "--F", "3"], [])):
+            main(["simulate", "--scenario", str(path), "--out", str(tmp_path / str(i)), *extra])
+            traces.append((tmp_path / str(i) / "trace.csv").read_text())
+        for i, sc in enumerate((scenario, replace(scenario, seed=5), replace(scenario, F=3))):
+            write_trace_csv(run_scenario(sc), tmp_path / f"ref{i}.csv")
+        own, seeded, lowered = ((tmp_path / f"ref{i}.csv").read_text() for i in range(3))
+        assert own != seeded and own != lowered  # both overrides show in the trace
+        assert traces[1] == own != traces[0]
+        assert build_parser() is build_parser()
 
     def test_trace_roundtrip(self, tmp_path):
         main(["simulate", "--scenario", "fig5b", "--out", str(tmp_path)])

@@ -10,7 +10,7 @@ from test_golden import DIGESTS, _reference
 import icsim.sim
 from icsim.channel import Scripted
 from icsim.kinematics import IntersectionGeometry, Route, collision_area
-from icsim.protocol import simulate_enter_round
+from icsim.protocol import Mode, simulate_enter_round
 from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import Scenario, VehicleSpec, run_scenario
 
@@ -144,7 +144,9 @@ class TestEventLog:
 
 class TestSensing:
     """The engine senses only where a step reads the world: every snapshot
-    it builds reaches at least one of the steps that read snapshots."""
+    it builds reaches at least one of the steps that read snapshots, a
+    yielder gets one only when its wait ends, and nothing is sensed or
+    exchanged once every car coasts."""
 
     READERS = ("sd_main_step", "exit_step", "competitors", "build_enter", "_my_turn")
 
@@ -170,3 +172,52 @@ class TestSensing:
         run_scenario(resolve_scenario(_reference(name, tmp_path)))
         assert built
         assert [s for s in built if id(s) not in read] == []
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_nothing_sensed_or_sent_once_every_car_coasts(self, name, tmp_path, monkeypatch):
+        sense, exchange = icsim.sim._sense, icsim.sim._exchange
+        sensed, exchanged = [], []
+
+        def counted_sense(*args):
+            sensed.append(args)
+            return sense(*args)
+
+        def counted_exchange(*args):
+            exchanged.append(args[5])  # the slot
+            return exchange(*args)
+
+        monkeypatch.setattr(icsim.sim, "_sense", counted_sense)
+        monkeypatch.setattr(icsim.sim, "_exchange", counted_exchange)
+        trace = run_scenario(resolve_scenario(_reference(name, tmp_path)))
+        # CROSSING, DONE and a going fallback are final but for the exit
+        started = {u: s for s, u, e in trace.events if e in ("CROSS_START", "FALLBACK_GO")}
+        last = trace.slots_run
+        if len(started) == len(trace.scenario.vehicles):
+            last = min(last, max(started.values()))
+        assert exchanged == list(range(1, last + 1))
+        assert len(sensed) == last
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_a_yielder_is_given_a_snapshot_only_when_its_wait_ends(
+        self, name, tmp_path, monkeypatch
+    ):
+        sense, snapshot = icsim.sim._sense, icsim.sim.SensorSnapshot
+        slots, waiters = [], []
+
+        def counted_sense(vehicles, *args):
+            slots.append(vehicles)
+            return sense(vehicles, *args)
+
+        def build(*args):
+            snap = snapshot(*args)
+            if slots[-1][snap.est.uid].proto.mode is Mode.AWAIT_EXIT:
+                waiters.append((len(slots), snap.est.uid))
+            return snap
+
+        monkeypatch.setattr(icsim.sim, "_sense", counted_sense)
+        monkeypatch.setattr(icsim.sim, "SensorSnapshot", build)
+        trace = run_scenario(resolve_scenario(_reference(name, tmp_path)))
+        events = set(trace.events)
+        for slot, uid in waiters:
+            assert {(slot, uid, "REENTER"), (slot, uid, "CROSS_START")} & events
+        assert {(s, u) for s, u, e in trace.events if e == "REENTER"} <= set(waiters)

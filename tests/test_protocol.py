@@ -22,6 +22,7 @@ from icsim.protocol import (
     planned_tau,
     sd_main_step,
     simulate_enter_round,
+    still_waiting,
 )
 
 
@@ -399,6 +400,35 @@ class TestSdMainStep:
         snap = make_snapshot(others=[sensed(2, "H2R", dist=10.0, exited=True)])
         st, decision = sd_main_step(st, snap)
         assert decision is SDDecision.USE_SD_CROSS
+
+
+class TestStillWaiting:
+    """The yielder's wait, over the sensed records of the cars it may wait on."""
+
+    def test_a_proceeding_car_in_range_holds_the_yielder(self):
+        assert still_waiting(1, frozenset({2}), [sensed(2, "H2R", dist=5.0, light=True)])
+
+    def test_a_queued_car_still_holds_it(self):
+        queued = sensed(2, "H2R", dist=4.0, light=True, stopped=40)
+        assert still_waiting(1, frozenset({2}), [queued])
+
+    def test_a_parked_car_has_abandoned_the_crossing(self):
+        parked = sensed(2, "H2R", dist=4.0, light=False, stopped=40)
+        assert not still_waiting(1, frozenset({2}), [parked])
+
+    def test_a_car_out_of_range_counts_as_gone(self):
+        assert not still_waiting(1, frozenset({2}), [])
+        # a sensed car the verdict did not let proceed is not waited on
+        assert not still_waiting(1, frozenset({2}), [sensed(3, "H3R", dist=5.0, light=True)])
+
+    def test_an_exited_car_counts_as_gone(self):
+        gone = sensed(2, "H2R", dist=8.0, light=True, exited=True)
+        assert not still_waiting(1, frozenset({2}), [gone])
+
+    def test_the_yielders_own_uid_is_skipped(self):
+        me = sensed(1, "H1R", dist=5.0, light=True)
+        assert not still_waiting(1, frozenset({1}), [me])
+        assert still_waiting(1, frozenset({1, 2}), [me, sensed(2, "H2R", dist=5.0, light=True)])
 
 
 class TestExitStep:

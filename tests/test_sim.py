@@ -308,6 +308,49 @@ class TestExitRule:
             assert xs[done - 1] >= exit_x > xs[done - 2]
 
 
+class TestCoasting:
+    """Once every car is CROSSING, DONE or a going fallback car, a slot runs
+    only the exit rule, the integration and the safety log; what those
+    slots record is unchanged (the figures were pinned before the engine
+    stopped sensing in them)."""
+
+    def test_a_done_car_still_in_the_box_counts(self):
+        # car 1's estimate runs 5 m ahead, so it is DONE while still in S2;
+        # car 2, out of sensing range, crosses behind it into S2
+        scenario = Scenario(
+            vehicles=(
+                VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=150.0, v=10.0, a=0.0, x_est=155.0),
+                VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=146.5, v=10.0, a=0.0),
+            ),
+            sensing_radius=1.0,
+        )
+        trace = run_scenario(scenario)
+        assert trace.events == [
+            (43, 1, "CROSS_START"), (50, 1, "EXITED"), (51, 2, "CROSS_START"), (58, 2, "EXITED"),
+        ]
+        # every car coasts from slot 52 on
+        assert trace.violations == [(slot, "S2", (1, 2)) for slot in range(50, 54)]
+        assert check_safety(trace) == trace.violations
+        for uid in (1, 2):
+            occupied = [r.slot for r in trace.rows if r.uid == uid and r.occupancy]
+            assert trace.summary["vehicles"][str(uid)]["crossing_slots"] == len(occupied) == 7
+            assert max(occupied) > 52
+        lean = run_scenario(scenario, record=False)
+        assert (lean.violations, lean.summary) == (trace.violations, trace.summary)
+
+    @pytest.mark.parametrize("name", ["fig5a", "allloss"])  # crossing / fallback cars
+    def test_budget_ends_while_coasting(self, name):
+        full = run_scenario(bundled_scenario(name))
+        coast = max(slot for slot, _, e in full.events if e in ("CROSS_START", "FALLBACK_GO"))
+        scenario = dataclasses.replace(full.scenario, max_slots=full.slots_run - 1)
+        assert scenario.max_slots > coast
+        trace = run_scenario(scenario)
+        assert trace.slots_run == scenario.max_slots
+        assert not trace.summary["all_done"]
+        assert len(trace.rows) == scenario.max_slots * len(scenario.vehicles)
+        assert trace.rows == full.rows[: len(trace.rows)]
+
+
 class TestRouteFacts:
     """The route facts a car resolves once from the geometry give the same
     cells, exit and positions as the geometry itself."""
