@@ -59,6 +59,13 @@ def _object(data: dict, key: str, default=None) -> dict:
     return value
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integral JSON number (not true or 2.7)."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ScenarioError(f"{name} must be an integer")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         if data.get("schema") != SCHEMA_VERSION:
@@ -72,7 +79,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         params = _object(data, "params")
         vehicles = tuple(
             VehicleSpec(
-                uid=int(v["uid"]),
+                uid=_integer(v["uid"], "uid"),
                 route=Route(v["clane"], v["nlane"]),
                 x=float(v["x"]),
                 v=float(v["v"]),
@@ -88,10 +95,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             geometry=geometry,
             channel=channel_from_dict(_object(data, "channel", {"type": "perfect"})),
             T=float(data.get("T", 0.1)),
-            F=int(data.get("F", 30)),
+            F=_integer(data.get("F", 30), "F"),
             R=float(data.get("R", 500.0)),
-            max_slots=int(data.get("max_slots", 400)),
-            seed=int(data.get("seed", 0)),
+            max_slots=_integer(data.get("max_slots", 400), "max_slots"),
+            seed=_integer(data.get("seed", 0), "seed"),
             **kwargs,
         )
     except ScenarioError:

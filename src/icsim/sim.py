@@ -3,10 +3,13 @@
 Each slot runs five phases in a fixed order: sensing, protocol steps,
 message transmission and delivery, control application, and kinematic
 integration. A message sent in slot t is delivered in slot t and acted on
-in slot t+1; anything not delivered in its sending slot is gone. Once all
-cars coast (crossing, done or going in the fallback), a slot runs only the
-exit rule, control, integration and the safety log. Identical scenario plus
-seed always produces a byte-identical trace.
+in slot t+1; anything not delivered in its sending slot is gone. A car
+steps only in a slot that can change it: in an ENTER round, when sensing
+gives it what its step reads, or in the fallback at its line; a crossing or
+going car runs only the exit rule. Delivery runs only when some car sends,
+and nothing is sensed once all cars coast (crossing, done or going in the
+fallback). A run that records no rows stops driving a done car past its
+path. Identical scenario plus seed always produces a byte-identical trace.
 """
 
 from __future__ import annotations
@@ -285,38 +288,43 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     slots_run = 0
     idle = dict.fromkeys(uids, _NO_MAIL)
     coasting = False
+    live = uids  # the cars still driven; see the end of the integrate pass
 
     for slot in range(1, scenario.max_slots + 1):
         slots_run = slot
-        if coasting:
-            # every car cruises to or past its exit: nothing is sensed or
-            # sent, and the exit rule is the only transition left
-            outboxes = delivered = lost = idle
-            actions = {
-                veh.uid: "" if veh.proto.mode is Mode.DONE else _exit_rule(veh, slot, events)
-                for veh in cars
-            }
-        else:
-            pos: dict[int, tuple[float, float]] = {}  # filled on first use, see _positions
-            snapshots = _sense(vehicles, uids, scenario, pos)
-            outboxes = {}
-            actions = {}
-            for veh in cars:
-                outboxes[veh.uid], actions[veh.uid] = _protocol_phase(
-                    veh, snapshots.get(veh.uid), scenario, slot, events
-                )
-            delivered, lost = _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos, idle)
+        pos: dict[int, tuple[float, float]] = {}  # filled on first use, see _positions
+        snapshots = {} if coasting else _sense(vehicles, live, scenario, pos)
+        outboxes = {}
+        actions = {}
+        for veh in cars:
+            uid = veh.uid
+            mode = veh.proto.mode
+            if mode is Mode.CROSSING or (mode is Mode.SD_FALLBACK and veh.fallback_go):
+                actions[uid] = _exit_rule(veh, slot, events)
+            elif mode is Mode.V2V_ENTER or uid in snapshots or (
+                mode is Mode.SD_FALLBACK and veh.x >= veh.x_col
+            ):
+                snap = snapshots.get(uid)
+                out, actions[uid] = _protocol_phase(veh, snap, scenario, slot, events)
+                if out:
+                    outboxes[uid] = out
+            # any other car (done, untriggered, still yielding, or moving in
+            # the fallback short of its line) would re-set the control it holds
+        delivered, lost = (idle, idle) if not outboxes else _exchange(
+            vehicles, live, outboxes, scenario, rngs, slot, pos
+        )
         # modes change only in the protocol phase, so this one pass over the
         # cars also gives the mixed-mode, all-done and coasting tests
         holder: dict[str, int] = {}
         any_v2v = any_fall = False
         all_done = coasting = True
+        inert = []
         for veh in cars:
             uid = veh.uid
             veh.pending_inbox = delivered[uid]
             a_eff = _apply_control(veh, scenario)
             _integrate(veh, a_eff, scenario.T, slot)
-            cell = path_cell(veh.cells, veh.x_col, w, veh.x)
+            cell = path_cell(veh.cells, veh.x_col, w, veh.x) if veh.x >= veh.x_col else None
             if cell is not None:
                 crossing_slots[uid] += 1
                 if cell in holder:
@@ -331,9 +339,18 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
                 rows.append(SlotRecord(
-                    slot, uid, mode.value, veh.x, veh.v, a_eff, veh.proto.f, _wire(outboxes[uid]),
-                    _wire(delivered[uid]), _wire(lost[uid]), cell or "", actions[uid],
+                    slot, uid, mode.value, veh.x, veh.v, a_eff, veh.proto.f,
+                    _wire(outboxes.get(uid, _NO_MAIL)), _wire(delivered[uid]), _wire(lost[uid]),
+                    cell or "", actions.get(uid, ""),
                 ))
+            elif mode is Mode.DONE and cell is None and veh.x >= veh.exit_x:
+                inert.append(veh)
+        if inert:
+            # a done car past its path sends, hears and occupies nothing, and
+            # every reader skips its sensed record: with no rows, it leaves
+            cars = [veh for veh in cars if veh not in inert]
+            vehicles = {veh.uid: veh for veh in cars}
+            live = list(vehicles)
 
         mixed_run = mixed_run + 1 if (any_v2v and any_fall) else 0
         mixed_window = max(mixed_window, mixed_run)
@@ -363,12 +380,13 @@ def _positions(pos, vehicles, uids, x_s) -> None:
 
 def _sense(vehicles, uids, scenario, pos) -> dict:
     """Settle the enter trigger of each approaching car that has not fired
-    yet (it reads the car's own estimate alone), then sense for exactly the
-    cars whose step reads the world this slot: a snapshot for a triggered
-    approaching car, and for a yielder in the slot its wait ends (until then
-    it senses only the cars it waits on); the tuple of cars in range for a
-    fallback car stopped before its line and not yet going. Every other car
-    runs on messages and its own state alone."""
+    yet (it reads the car's own estimate alone), then sense among the cars
+    still driven (``vehicles``) for exactly the cars whose step reads the
+    world this slot: a snapshot for a triggered approaching car, and for a
+    yielder in the slot its wait ends (until then it senses only the cars it
+    waits on); the tuple of cars in range for a fallback car stopped before
+    its line and not yet going. These cars step; every other car not in an
+    ENTER round or at its fallback line keeps its control."""
     need = []
     for veh in vehicles.values():
         m = veh.proto.mode
@@ -397,10 +415,11 @@ def _sense(vehicles, uids, scenario, pos) -> dict:
         mx, my = pos[uid]
         others = []
         for o_uid in scope:
-            if o_uid == uid:
+            p = pos.get(o_uid)  # None for a car that has left the run
+            if p is None or o_uid == uid:
                 continue
-            dx = mx - pos[o_uid][0]
-            dy = my - pos[o_uid][1]
+            dx = mx - p[0]
+            dy = my - p[1]
             if dx * dx + dy * dy > r2:
                 continue
             o = sensed.get(o_uid)
@@ -427,15 +446,13 @@ def _sense(vehicles, uids, scenario, pos) -> dict:
 
 
 def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozenset, str]:
-    """Run one vehicle's per-slot protocol logic and every transition that
-    reads its own state; returns its outbox and the trace's action column.
-    ``snap`` is what ``_sense`` gave the car, or None."""
+    """Run one vehicle's protocol step, in a slot that can change it, and
+    every transition that reads its own state; returns its outbox and the
+    trace's action column. ``snap`` is what ``_sense`` gave the car, or None."""
     mode = veh.proto.mode
     veh.control = _CRUISE
 
     if mode is Mode.SD_APPROACH:
-        if not veh.triggered:  # _sense settled the trigger
-            return _NO_MAIL, ""
         # Overhearing an ENTER means an active round wants this vehicle:
         # join it rather than waiting for the signal lights to clear.
         pulled = {m.uid for m in veh.pending_inbox if m.msg_type == "ENTER"}
@@ -465,8 +482,7 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
         return _v2v_step(veh, scenario, slot, events)
 
     if mode is Mode.AWAIT_EXIT:
-        if snap is not None:  # _sense found the cars it yielded to gone
-            veh.proto = exit_step(veh.proto, veh.proceed_uids, snap)
+        veh.proto = exit_step(veh.proto, veh.proceed_uids, snap)
         if veh.proto.mode is Mode.V2V_ENTER:
             events.append((slot, veh.uid, "REENTER"))
             # hold at the collision boundary until the new round's verdict
@@ -477,9 +493,6 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
         else:
             veh.control = ("yield",)
         return _NO_MAIL, ""
-
-    if mode is Mode.CROSSING or (mode is Mode.SD_FALLBACK and veh.fallback_go):
-        return _NO_MAIL, _exit_rule(veh, slot, events)
 
     if mode is Mode.SD_FALLBACK:
         veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
@@ -573,13 +586,10 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
     veh.control = ("yield",)
 
 
-def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos, idle):
-    """Deliver this slot's outboxes through the channel model. A slot in
-    which nobody sends gives the shared all-empty mapping ``idle``: with no
-    link the channel is not consulted and ``prior_lost`` stays as it is."""
-    senders = [u for u in uids if outboxes[u]]
-    if not senders:
-        return idle, idle
+def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos):
+    """Deliver this slot's outboxes, one per car that sends, through the
+    channel model to the listening cars of ``uids``."""
+    senders = list(outboxes)
     x_s = scenario.geometry.x_s
     model = scenario.channel
     delivered = {u: set() for u in uids}

@@ -121,6 +121,7 @@ def run_simulate(data, out, *flags) -> int:
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
 
 
 class TestMalformedScenario:
@@ -148,12 +149,23 @@ class TestMalformedScenario:
             (("vehicles", 1, "v"), 1e-320),
             (("vehicles", 1, "v"), 5e-324),
             (("F",), 1e400),
+            # the integer fields take only integral numbers, named in the error
+            (("F",), 2.7),
+            (("F",), True),
+            (("F",), "3"),
+            (("max_slots",), 10.5),
+            (("seed",), 0.5),
+            (("seed",), False),
+            (("vehicles", 1, "uid"), 1.9),
+            (("vehicles", 0, "uid"), "1"),
         ],
         ids=repr,
     )
     def test_exits_1_with_one_line(self, path, value, tmp_path, capsys):
         assert run_simulate(fig5b(path, value), tmp_path) == EXIT_CONFIG
-        assert_one_line_error(capsys)
+        err = assert_one_line_error(capsys)
+        if path[-1] in ("F", "max_slots", "seed", "uid"):
+            assert f"{path[-1]} must be" in err
 
     def test_negative_seed_flag_on_a_random_channel(self, tmp_path, capsys):
         data = fig5b(channel={"type": "distance_iid", "lambda": 0.001})

@@ -1,15 +1,18 @@
 """Cross-cutting invariants: message-set bounds, counter bounds, the
-ordering between a yielder's and a proceeder's collision-area occupancy, and
-the agreement of the event log with the recorded rows."""
+ordering between a yielder's and a proceeder's collision-area occupancy, the
+agreement of the event log with the recorded rows, which cars the engine
+steps, and the agreement of the two record modes."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import DIGESTS, _reference
 
 import icsim.sim
-from icsim.channel import Scripted
-from icsim.kinematics import IntersectionGeometry, Route, collision_area
+from icsim.channel import CorrelatedBurst, DistanceIID, Scripted
+from icsim.kinematics import APPROACH_LANES, EXIT_LANES, IntersectionGeometry, Route, collision_area
 from icsim.protocol import Mode, simulate_enter_round
 from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import Scenario, VehicleSpec, run_scenario
@@ -145,8 +148,9 @@ class TestEventLog:
 class TestSensing:
     """The engine senses only where a step reads the world: every snapshot
     it builds reaches at least one of the steps that read snapshots, a
-    yielder gets one only when its wait ends, and nothing is sensed or
-    exchanged once every car coasts."""
+    yielder gets one only when its wait ends, delivery runs only in a slot
+    in which some car sends, and nothing is sensed or exchanged once every
+    car coasts."""
 
     READERS = ("sd_main_step", "exit_step", "competitors", "build_enter", "_my_turn")
 
@@ -194,7 +198,9 @@ class TestSensing:
         last = trace.slots_run
         if len(started) == len(trace.scenario.vehicles):
             last = min(last, max(started.values()))
-        assert exchanged == list(range(1, last + 1))
+        # delivery runs exactly in the slots in which some car sends
+        assert exchanged == sorted({r.slot for r in trace.rows if r.sent})
+        assert all(slot <= last for slot in exchanged)
         assert len(sensed) == last
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -221,3 +227,100 @@ class TestSensing:
         for slot, uid in waiters:
             assert {(slot, uid, "REENTER"), (slot, uid, "CROSS_START")} & events
         assert {(s, u) for s, u, e in trace.events if e == "REENTER"} <= set(waiters)
+
+
+def _outcome(trace) -> tuple:
+    return trace.events, trace.summary, trace.violations, trace.slots_run
+
+
+class TestStepping:
+    """A car runs its protocol step only in a slot that can change it, and a
+    run without rows stops driving a car once nothing can read it; neither
+    changes what a run gives."""
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    @pytest.mark.parametrize("record", [True, False])
+    def test_protocol_step_only_where_it_can_change_the_car(
+        self, name, record, tmp_path, monkeypatch
+    ):
+        step = icsim.sim._protocol_phase
+        stepped = []
+
+        def checked_step(veh, snap, *args):
+            mode = veh.proto.mode
+            assert mode not in (Mode.CROSSING, Mode.DONE) and not veh.fallback_go
+            # in an ENTER round, given what its step reads, or at its fallback line
+            assert (
+                mode is Mode.V2V_ENTER
+                or snap is not None
+                or (mode is Mode.SD_FALLBACK and veh.x >= veh.x_col)
+            ), (mode, veh.uid)
+            stepped.append(mode)
+            return step(veh, snap, *args)
+
+        monkeypatch.setattr(icsim.sim, "_protocol_phase", checked_step)
+        run_scenario(resolve_scenario(_reference(name, tmp_path)), record=record)
+        assert Mode.V2V_ENTER in stepped
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_an_inert_car_is_not_driven_without_rows(self, name, tmp_path, monkeypatch):
+        scenario = resolve_scenario(_reference(name, tmp_path))
+        full = run_scenario(scenario)
+        geo = scenario.geometry
+        exits = {s.uid: geo.path_exit(s.route) for s in scenario.vehicles}
+        # the slot in which each car became DONE, past its path and off every cell
+        inert = {}
+        for r in full.rows:
+            if r.mode == "DONE" and not r.occupancy and r.x >= exits[r.uid]:
+                inert.setdefault(r.uid, r.slot)
+        integrate = icsim.sim._integrate
+        last = {}
+
+        def counted_integrate(veh, a, T, slot):
+            last[veh.uid] = slot
+            return integrate(veh, a, T, slot)
+
+        monkeypatch.setattr(icsim.sim, "_integrate", counted_integrate)
+        bare = run_scenario(scenario, record=False)
+        assert _outcome(bare) == _outcome(full)
+        assert last == {s.uid: inert.get(s.uid, full.slots_run) for s in scenario.vehicles}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cars=st.lists(
+            st.tuples(
+                st.sampled_from(range(4)),  # approach
+                st.sampled_from(range(1, 4)),  # departure lane offset: never a U-turn
+                st.floats(90.0, 110.0),  # distance to the center
+                st.floats(10.0, 13.0),  # speed
+            ),
+            min_size=2,
+            max_size=4,
+            unique_by=lambda car: car[0],
+        ),
+        channel=st.one_of(
+            st.builds(DistanceIID, st.floats(0.0005, 0.01)),
+            st.builds(CorrelatedBurst, st.floats(0.0005, 0.01), st.floats(0.1, 0.95)),
+            st.builds(
+                Scripted,
+                st.frozensets(st.tuples(st.integers(1, 4), st.integers(1, 40)), max_size=8),
+                st.frozensets(st.integers(1, 4), max_size=1),
+            ),
+        ),
+        F=st.sampled_from([2, 8, 30]),
+        seed=st.integers(0, 1000),
+    )
+    def test_record_modes_agree_on_random_inputs(self, cars, channel, F, seed):
+        vehicles = tuple(
+            VehicleSpec(
+                uid=uid,
+                route=Route(APPROACH_LANES[k], EXIT_LANES[(k + turn) % 4]),
+                x=GEO.x_s - d,
+                v=v,
+                a=0.0,
+            )
+            for uid, (k, turn, d, v) in enumerate(cars, 1)
+        )
+        scenario = Scenario(vehicles=vehicles, geometry=GEO, channel=channel, F=F, seed=seed)
+        bare = run_scenario(scenario, record=False)
+        assert _outcome(bare) == _outcome(run_scenario(scenario))

@@ -18,10 +18,10 @@ from icsim.sim import (
     TRACE_COLUMNS,
     VehicleSpec,
     _apply_control,
+    _exit_rule,
     _HEADINGS,
     _integrate,
     _position_2d,
-    _protocol_phase,
     _sense,
     _Vehicle,
     check_liveness,
@@ -275,7 +275,7 @@ class TestExitRule:
         veh = self.car(mode, self.scenario.geometry.path_exit(self.route) + self.dx)
         assert _sense({1: veh}, [1], self.scenario, {}) == {}  # no sensing needed
         events = []
-        assert _protocol_phase(veh, None, self.scenario, 7, events) == (frozenset(), action)
+        assert _exit_rule(veh, 7, events) == action
         assert veh.proto.mode is Mode.DONE
         assert events == [(7, 1, "EXITED")]
 
@@ -284,7 +284,7 @@ class TestExitRule:
     def test_not_done_while_the_bound_reaches_inside(self, mode, behind):
         veh = self.car(mode, self.scenario.geometry.path_exit(self.route) + self.dx - behind)
         events = []
-        assert _protocol_phase(veh, None, self.scenario, 7, events) == (frozenset(), "")
+        assert _exit_rule(veh, 7, events) == ""
         assert veh.proto.mode is mode
         assert events == []
         assert veh.control == ("cruise",)
