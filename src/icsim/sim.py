@@ -308,8 +308,8 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                 out, actions[uid] = _protocol_phase(veh, snap, scenario, slot, events)
                 if out:
                     outboxes[uid] = out
-            # any other car (done, untriggered, still yielding, or moving in
-            # the fallback short of its line) would re-set the control it holds
+            # any other car keeps its control, which its step would only set
+            # again: done, untriggered, still yielding, or short of its line
         delivered, lost = (idle, idle) if not outboxes else _exchange(
             vehicles, live, outboxes, scenario, rngs, slot, pos
         )
@@ -346,8 +346,8 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             elif mode is Mode.DONE and cell is None and veh.x >= veh.exit_x:
                 inert.append(veh)
         if inert:
-            # a done car past its path sends, hears and occupies nothing, and
-            # every reader skips its sensed record: with no rows, it leaves
+            # a done car past its path sends, hears and holds nothing, and every
+            # reader skips its sensed record; a run without rows stops driving it
             cars = [veh for veh in cars if veh not in inert]
             vehicles = {veh.uid: veh for veh in cars}
             live = list(vehicles)
@@ -589,7 +589,6 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
 def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos):
     """Deliver this slot's outboxes, one per car that sends, through the
     channel model to the listening cars of ``uids``."""
-    senders = list(outboxes)
     x_s = scenario.geometry.x_s
     model = scenario.channel
     delivered = {u: set() for u in uids}
@@ -603,13 +602,13 @@ def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos):
         links = []
         _positions(pos, vehicles, uids, x_s)
         rx, ry = pos[r_uid]
-        for s_uid in senders:
+        for s_uid, msgs in outboxes.items():
             if s_uid == r_uid:
                 continue
             sx, sy = pos[s_uid]
             d = math.hypot(rx - sx, ry - sy)
             if d > scenario.R:
-                lost[r_uid] |= outboxes[s_uid]
+                lost[r_uid] |= msgs
                 continue
             links.append((s_uid, d))
         got, missed, recv.prior_lost = sample_delivery(

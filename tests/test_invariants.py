@@ -12,7 +12,13 @@ from test_golden import DIGESTS, _reference
 
 import icsim.sim
 from icsim.channel import CorrelatedBurst, DistanceIID, Scripted
-from icsim.kinematics import APPROACH_LANES, EXIT_LANES, IntersectionGeometry, Route, collision_area
+from icsim.kinematics import (
+    APPROACH_LANES,
+    EXIT_LANES,
+    IntersectionGeometry,
+    Route,
+    collision_area,
+)
 from icsim.protocol import Mode, simulate_enter_round
 from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import Scenario, VehicleSpec, run_scenario
@@ -293,6 +299,7 @@ class TestStepping:
                 st.sampled_from(range(1, 4)),  # departure lane offset: never a U-turn
                 st.floats(90.0, 110.0),  # distance to the center
                 st.floats(10.0, 13.0),  # speed
+                st.floats(-2.0, 5.0),  # error of the position estimate
             ),
             min_size=2,
             max_size=4,
@@ -318,8 +325,9 @@ class TestStepping:
                 x=GEO.x_s - d,
                 v=v,
                 a=0.0,
+                x_est=GEO.x_s - d + err,
             )
-            for uid, (k, turn, d, v) in enumerate(cars, 1)
+            for uid, (k, turn, d, v, err) in enumerate(cars, 1)
         )
         scenario = Scenario(vehicles=vehicles, geometry=GEO, channel=channel, F=F, seed=seed)
         bare = run_scenario(scenario, record=False)
