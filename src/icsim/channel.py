@@ -6,7 +6,8 @@ scripted loss table for exact reproduction of failure scenarios. Each model
 class carries its own behaviour: ``delivers``, its delivery law for one
 receiver and slot; ``burst_law``, the burst-length parameters the analytics
 average over; its JSON form (``to_dict``, read back through
-``CHANNEL_TYPES``); and ``uses_rng``, whether it draws random numbers.
+``CHANNEL_TYPES`` by ``from_dict``, which takes the scenario loader's
+number and integer readers); and ``uses_rng``, whether it draws random numbers.
 ``sample_delivery`` is the one delivery step of both exchange loops.
 Burst-length probability laws used by the analytics live here too.
 """
@@ -48,7 +49,7 @@ class Perfect:
         return {"type": self.TYPE}
 
     @classmethod
-    def from_dict(cls, d: dict):
+    def from_dict(cls, d: dict, number, integer):
         return cls()
 
 
@@ -74,8 +75,8 @@ class DistanceIID:
         return {"type": self.TYPE, "lambda": self.lam}
 
     @classmethod
-    def from_dict(cls, d: dict):
-        return cls(lam=float(d["lambda"]))
+    def from_dict(cls, d: dict, number, integer):
+        return cls(lam=number(d["lambda"], "lambda"))
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ class CorrelatedBurst:
         return {"type": self.TYPE, "lambda": self.lam, "xi": self.xi}
 
     @classmethod
-    def from_dict(cls, d: dict):
-        return cls(lam=float(d["lambda"]), xi=float(d["xi"]))
+    def from_dict(cls, d: dict, number, integer):
+        return cls(lam=number(d["lambda"], "lambda"), xi=number(d["xi"], "xi"))
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,12 @@ class Scripted:
         }
 
     @classmethod
-    def from_dict(cls, d: dict):
-        losses = frozenset((int(u), int(s)) for u, s in d.get("losses", []))
-        return cls(losses=losses, all_lost=frozenset(int(u) for u in d.get("all_lost", [])))
+    def from_dict(cls, d: dict, number, integer):
+        losses = frozenset(
+            (integer(u, "losses"), integer(s, "losses")) for u, s in d.get("losses", [])
+        )
+        all_lost = frozenset(integer(u, "all_lost") for u in d.get("all_lost", []))
+        return cls(losses=losses, all_lost=all_lost)
 
 
 ChannelModel = Perfect | DistanceIID | CorrelatedBurst | Scripted

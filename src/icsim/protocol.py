@@ -153,9 +153,12 @@ def planned_tau(snapshot: SensorSnapshot) -> float:
     positive desired acceleration is applied as is; otherwise the vehicle
     holds its cruise speed ``v_des``, first regaining it at
     ``resume_accel`` when it has been slowed or stopped. The announced time
-    is therefore the one the vehicle actually drives.
+    is therefore the one the vehicle actually drives. A vehicle already at
+    or past the center (a yielder held deep in its path) has arrived: 0.
     """
     est = snapshot.est
+    if est.x_hat >= snapshot.x_s:
+        return 0.0
     a, v_des, ra = snapshot.a_des, snapshot.v_des, snapshot.resume_accel
     if a <= 0 and est.v >= v_des:
         a = 0.0

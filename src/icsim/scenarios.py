@@ -49,7 +49,7 @@ def channel_from_dict(d: dict) -> ChannelModel:
     model = CHANNEL_TYPES.get(d.get("type"))
     if model is None:
         raise ScenarioError(f"unknown channel type {d.get('type')!r}")
-    return model.from_dict(d)
+    return model.from_dict(d, _number, _integer)
 
 
 def _object(data: dict, key: str, default=None) -> dict:
@@ -57,6 +57,13 @@ def _object(data: dict, key: str, default=None) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{key} must be a JSON object")
     return value
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (not true or "0.1")."""
+    if type(value) is int or type(value) is float:
+        return float(value)
+    raise ScenarioError(f"{name} must be a number")
 
 
 def _integer(value, name: str) -> int:
@@ -74,29 +81,29 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
         geo = _object(data, "geometry")
         geometry = IntersectionGeometry(
-            x_s=float(geo.get("x_s", 200.0)), w=float(geo.get("w", 3.5))
+            x_s=_number(geo.get("x_s", 200.0), "x_s"), w=_number(geo.get("w", 3.5), "w")
         )
         params = _object(data, "params")
         vehicles = tuple(
             VehicleSpec(
                 uid=_integer(v["uid"], "uid"),
                 route=Route(v["clane"], v["nlane"]),
-                x=float(v["x"]),
-                v=float(v["v"]),
-                a=float(v.get("a", 0.0)),
-                dx_bound=float(v.get("dx_bound", 0.0)),
-                x_est=float(v["x_est"]) if "x_est" in v else None,
+                x=_number(v["x"], "x"),
+                v=_number(v["v"], "v"),
+                a=_number(v.get("a", 0.0), "a"),
+                dx_bound=_number(v.get("dx_bound", 0.0), "dx_bound"),
+                x_est=_number(v["x_est"], "x_est") if "x_est" in v else None,
             )
             for v in data["vehicles"]
         )
-        kwargs = {k: float(params[k]) for k in _PARAM_FIELDS if k in params}
+        kwargs = {k: _number(params[k], k) for k in _PARAM_FIELDS if k in params}
         return Scenario(
             vehicles=vehicles,
             geometry=geometry,
             channel=channel_from_dict(_object(data, "channel", {"type": "perfect"})),
-            T=float(data.get("T", 0.1)),
+            T=_number(data.get("T", 0.1), "T"),
             F=_integer(data.get("F", 30), "F"),
-            R=float(data.get("R", 500.0)),
+            R=_number(data.get("R", 500.0), "R"),
             max_slots=_integer(data.get("max_slots", 400), "max_slots"),
             seed=_integer(data.get("seed", 0), "seed"),
             **kwargs,

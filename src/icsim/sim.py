@@ -8,8 +8,12 @@ steps only in a slot that can change it: in an ENTER round, when sensing
 gives it what its step reads, or in the fallback at its line; a crossing or
 going car runs only the exit rule. Delivery runs only when some car sends,
 and nothing is sensed once all cars coast (crossing, done or going in the
-fallback). A run that records no rows stops driving a done car past its
-path. Identical scenario plus seed always produces a byte-identical trace.
+fallback). A waiting car (a yielder, or a fallback car stopped at its line)
+is sensed only when its wait can end: while a witness, a car surely in
+sensing range that holds it by the wait's own rule, keeps it waiting, it
+neither senses nor steps. A run that records no rows stops driving a done
+car past its path. Identical scenario plus seed always produces a
+byte-identical trace.
 """
 
 from __future__ import annotations
@@ -340,7 +344,9 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             if record:
                 rows.append(SlotRecord(
                     slot, uid, mode.value, veh.x, veh.v, a_eff, veh.proto.f,
-                    _wire(outboxes.get(uid, _NO_MAIL)), _wire(delivered[uid]), _wire(lost[uid]),
+                    _wire(sent) if (sent := outboxes.get(uid)) else "",
+                    _wire(got) if (got := delivered[uid]) else "",
+                    _wire(missed) if (missed := lost[uid]) else "",
                     cell or "", actions.get(uid, ""),
                 ))
             elif mode is Mode.DONE and cell is None and veh.x >= veh.exit_x:
@@ -385,8 +391,13 @@ def _sense(vehicles, uids, scenario, pos) -> dict:
     world this slot: a snapshot for a triggered approaching car, and for a
     yielder in the slot its wait ends (until then it senses only the cars it
     waits on); the tuple of cars in range for a fallback car stopped before
-    its line and not yet going. These cars step; every other car not in an
-    ENTER round or at its fallback line keeps its control."""
+    its line and not yet going. A yielder or stopped fallback car that a
+    witness holds (``_held``: a car surely in range that keeps it waiting by
+    the wait's own rule) is not sensed at all. The cars given something
+    step; every other car not in an ENTER round or at its fallback line
+    keeps its control."""
+    x_s = scenario.geometry.x_s
+    reach = scenario.sensing_radius / 2
     need = []
     for veh in vehicles.values():
         m = veh.proto.mode
@@ -399,12 +410,13 @@ def _sense(vehicles, uids, scenario, pos) -> dict:
             if veh.triggered:
                 need.append((veh, uids))
         elif m is Mode.AWAIT_EXIT:
-            need.append((veh, veh.proceed_uids))
+            if not _held(veh, vehicles, x_s, reach):
+                need.append((veh, veh.proceed_uids))
         elif m is Mode.SD_FALLBACK and not veh.fallback_go and veh.v == 0.0 and veh.x < veh.x_col:
-            need.append((veh, uids))
+            if not _held(veh, vehicles, x_s, reach):
+                need.append((veh, uids))
     if not need:
         return {}
-    x_s = scenario.geometry.x_s
     _positions(pos, vehicles, uids, x_s)
     r2 = scenario.sensing_radius**2
     sensed: dict[int, SensedVehicle] = {}  # each car as the others see it, built once
@@ -425,11 +437,9 @@ def _sense(vehicles, uids, scenario, pos) -> dict:
             o = sensed.get(o_uid)
             if o is None:
                 other = vehicles[o_uid]
-                mode = other.proto.mode
-                light = mode in _SIGNALLING or (mode is Mode.SD_FALLBACK and other.fallback_go)
                 o = sensed[o_uid] = SensedVehicle(
-                    o_uid, other.route.clane, other.x, abs(x_s - other.x), other.v, light,
-                    other.x >= other.exit_x, other.stopped_since,
+                    o_uid, other.route.clane, other.x, abs(x_s - other.x), other.v,
+                    _signalling(other), other.x >= other.exit_x, other.stopped_since,
                 )
             others.append(o)
         if scope is not uids:
@@ -443,6 +453,43 @@ def _sense(vehicles, uids, scenario, pos) -> dict:
                 scenario.sensing_radius, tuple(others), me.v_des,
             )
     return out
+
+
+def _signalling(veh: _Vehicle) -> bool:
+    """Whether the car's signal lights show it competing for the box."""
+    mode = veh.proto.mode
+    return mode in _SIGNALLING or (mode is Mode.SD_FALLBACK and veh.fallback_go)
+
+
+def _held(me: _Vehicle, vehicles, x_s: float, reach: float) -> bool:
+    """Whether a waiting car surely waits on this slot: some live car it
+    surely senses (``|x_s - x_me| + |x_s - x_o| <= reach``, half the sensing
+    radius) holds it by the wait's own rule. A yielder is held by a car it
+    yielded to that has not exited and is moving or signalling
+    (``still_waiting``); a stopped fallback car by a car that has not exited
+    and signals, is in the box, or stopped earlier (``_my_turn``). Every 2-D
+    position lies on an approach axis, so its distance from the centre is
+    exactly ``|x_s - x|``; the halved radius keeps rounding far from the
+    edge."""
+    reach -= abs(x_s - me.x)
+    if me.proto.mode is Mode.AWAIT_EXIT:
+        for o_uid in me.proceed_uids:
+            o = vehicles.get(o_uid)  # None for a car that has left the run
+            if (
+                o is not None and o is not me and o.x < o.exit_x and abs(x_s - o.x) <= reach
+                and (o.stopped_since is None or _signalling(o))
+            ):
+                return True
+        return False
+    mine = _turn(me)
+    for o in vehicles.values():
+        if o is me or o.x >= o.exit_x or abs(x_s - o.x) > reach:
+            continue
+        if o.x >= me.x_col or _signalling(o) or (
+            o.stopped_since is not None and (o.stopped_since, o.uid) < mine
+        ):
+            return True
+    return False
 
 
 def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozenset, str]:
@@ -545,7 +592,7 @@ def _my_turn(veh: _Vehicle, seen: tuple[SensedVehicle, ...]) -> bool:
     """Four-way-stop etiquette over the sensed cars ``seen``: go only when
     nobody signals, nobody is in the box, and no earlier-stopped vehicle is
     still waiting at its line."""
-    mine = (veh.stopped_since if veh.stopped_since is not None else 1 << 30, veh.uid)
+    mine = _turn(veh)
     for o_uid, _, x, _, _, light, exited, stopped_since in seen:
         if exited:
             continue
@@ -554,6 +601,12 @@ def _my_turn(veh: _Vehicle, seen: tuple[SensedVehicle, ...]) -> bool:
         if stopped_since is not None and (stopped_since, o_uid) < mine:
             return False
     return True
+
+
+def _turn(veh: _Vehicle) -> tuple[int, int]:
+    """A fallback car's place in the queue at the lines: when it stopped
+    (last if it has not), then its uid."""
+    return (veh.stopped_since if veh.stopped_since is not None else 1 << 30, veh.uid)
 
 
 def _apply_verdict(veh: _Vehicle, scenario, slot, events):
@@ -624,7 +677,7 @@ def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos):
 
 def _wire(msgs: frozenset) -> str:
     """A trace column: the messages' wire records, sorted and ;-joined."""
-    return ";".join(sorted(encode_message(m) for m in msgs)) if msgs else ""
+    return ";".join(sorted(encode_message(m) for m in msgs))
 
 
 def _apply_control(veh: _Vehicle, scenario) -> float:
@@ -748,10 +801,13 @@ def check_safety(trace: SimTrace) -> list[tuple[int, str, tuple[int, int]]]:
     if not trace.rows:
         return list(trace.violations)
     geo = trace.scenario.geometry
+    x_col = geo.x_col
     routes = {s.uid: s.route for s in trace.scenario.vehicles}
     by_slot: dict[int, dict[str, int]] = {}
     out = []
     for row in trace.rows:
+        if row.x < x_col:
+            continue  # short of the box: on no cell
         cell = geo.cell_at(routes[row.uid], row.x)
         if cell is None:
             continue

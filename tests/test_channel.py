@@ -18,6 +18,7 @@ from icsim.channel import (
     sample_delivery,
 )
 from icsim.protocol import AckMessage, EnterMessage
+from icsim.scenarios import channel_from_dict
 
 ACK = AckMessage(uid=1)
 
@@ -173,7 +174,8 @@ class TestModelForms:
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
     def test_json_form_reads_back(self, model):
         d = model.to_dict()
-        assert CHANNEL_TYPES[d["type"]].from_dict(d) == model
+        assert type(model) is CHANNEL_TYPES[d["type"]]
+        assert channel_from_dict(d) == model
 
     def test_burst_laws(self):
         assert Perfect().burst_law(300.0) == (1.0, None)

@@ -167,6 +167,35 @@ class TestMalformedScenario:
         if path[-1] in ("F", "max_slots", "seed", "uid"):
             assert f"{path[-1]} must be" in err
 
+    @pytest.mark.parametrize(
+        "path,value,error",
+        [
+            # a number field takes only a JSON number: not a bool, not a string
+            (("vehicles", 0, "v"), True, "v must be a number"),
+            (("vehicles", 0, "x"), "62", "x must be a number"),
+            (("vehicles", 0, "a"), False, "a must be a number"),
+            (("vehicles", 1, "dx_bound"), True, "dx_bound must be a number"),
+            (("vehicles", 1, "x_est"), "60.0", "x_est must be a number"),
+            (("T",), "0.1", "T must be a number"),
+            (("R",), True, "R must be a number"),
+            (("geometry", "x_s"), "200", "x_s must be a number"),
+            (("geometry", "w"), True, "w must be a number"),
+            (("params", "tau_th"), "2", "tau_th must be a number"),
+            (("params", "sensing_radius"), False, "sensing_radius must be a number"),
+            (("channel",), {"type": "distance_iid", "lambda": True}, "lambda must be a number"),
+            (("channel",), {"type": "correlated", "lambda": 0.001, "xi": "0.5"},
+             "xi must be a number"),
+            # a scripted loss names a receiver and a slot by integers
+            (("channel", "losses"), [["2", True]], "losses must be an integer"),
+            (("channel", "losses"), [[2, 1.5]], "losses must be an integer"),
+            (("channel", "all_lost"), [True], "all_lost must be an integer"),
+        ],
+        ids=repr,
+    )
+    def test_number_fields_take_only_json_numbers(self, path, value, error, tmp_path, capsys):
+        assert run_simulate(fig5b(path, value), tmp_path) == EXIT_CONFIG
+        assert assert_one_line_error(capsys) == f"error: {error}\n"
+
     def test_negative_seed_flag_on_a_random_channel(self, tmp_path, capsys):
         data = fig5b(channel={"type": "distance_iid", "lambda": 0.001})
         assert run_simulate(data, tmp_path, "--seed", "-1") == EXIT_CONFIG

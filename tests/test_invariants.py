@@ -1,9 +1,12 @@
 """Cross-cutting invariants: message-set bounds, counter bounds, the
 ordering between a yielder's and a proceeder's collision-area occupancy, the
 agreement of the event log with the recorded rows, which cars the engine
-steps, and the agreement of the two record modes."""
+steps, the agreement of the two record modes, and the witness test that
+spares a waiting car its sensing."""
 
 import itertools
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,51 @@ from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import Scenario, VehicleSpec, run_scenario
 
 GEO = IntersectionGeometry(x_s=200.0, w=3.5)
+
+
+@st.composite
+def random_scenarios(draw):
+    """2-4 cars on distinct approaches, 90-110 m out at 10-13 m/s with an
+    erring position estimate, on a random or a scripted channel."""
+    cars = draw(st.lists(
+        st.tuples(
+            st.sampled_from(range(4)),  # approach
+            st.sampled_from(range(1, 4)),  # departure lane offset: never a U-turn
+            st.floats(90.0, 110.0),  # distance to the center
+            st.floats(10.0, 13.0),  # speed
+            st.floats(-2.0, 5.0),  # error of the position estimate
+        ),
+        min_size=2,
+        max_size=4,
+        unique_by=lambda car: car[0],
+    ))
+    channel = draw(st.one_of(
+        st.builds(DistanceIID, st.floats(0.0005, 0.01)),
+        st.builds(CorrelatedBurst, st.floats(0.0005, 0.01), st.floats(0.1, 0.95)),
+        st.builds(
+            Scripted,
+            st.frozensets(st.tuples(st.integers(1, 4), st.integers(1, 40)), max_size=8),
+            st.frozensets(st.integers(1, 4), max_size=1),
+        ),
+    ))
+    vehicles = tuple(
+        VehicleSpec(
+            uid=uid,
+            route=Route(APPROACH_LANES[k], EXIT_LANES[(k + turn) % 4]),
+            x=GEO.x_s - d,
+            v=v,
+            a=0.0,
+            x_est=GEO.x_s - d + err,
+        )
+        for uid, (k, turn, d, v, err) in enumerate(cars, 1)
+    )
+    return Scenario(
+        vehicles=vehicles,
+        geometry=GEO,
+        channel=channel,
+        F=draw(st.sampled_from([2, 8, 30])),
+        seed=draw(st.integers(0, 1000)),
+    )
 
 
 class TestProtocolStateBounds:
@@ -249,12 +297,27 @@ class TestStepping:
     def test_protocol_step_only_where_it_can_change_the_car(
         self, name, record, tmp_path, monkeypatch
     ):
-        step = icsim.sim._protocol_phase
-        stepped = []
+        step, sense, held = icsim.sim._protocol_phase, icsim.sim._sense, icsim.sim._held
+        stepped, held_now, held_stopped = [], set(), []
+
+        def counted_sense(*args):
+            held_now.clear()
+            return sense(*args)
+
+        def counted_held(veh, *args):
+            if held(veh, *args):
+                held_now.add(veh.uid)
+                if veh.proto.mode is Mode.SD_FALLBACK:
+                    held_stopped.append(veh.uid)
+                return True
+            return False
 
         def checked_step(veh, snap, *args):
             mode = veh.proto.mode
             assert mode not in (Mode.CROSSING, Mode.DONE) and not veh.fallback_go
+            # a waiting car that a witness holds, a stopped fallback car among
+            # them, keeps its control
+            assert veh.uid not in held_now, (mode, veh.uid)
             # in an ENTER round, given what its step reads, or at its fallback line
             assert (
                 mode is Mode.V2V_ENTER
@@ -265,8 +328,13 @@ class TestStepping:
             return step(veh, snap, *args)
 
         monkeypatch.setattr(icsim.sim, "_protocol_phase", checked_step)
+        monkeypatch.setattr(icsim.sim, "_sense", counted_sense)
+        monkeypatch.setattr(icsim.sim, "_held", counted_held)
         run_scenario(resolve_scenario(_reference(name, tmp_path)), record=record)
         assert Mode.V2V_ENTER in stepped
+        if name == "allloss":
+            # both cars stop at their lines; the later one waits on the earlier
+            assert held_stopped
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_an_inert_car_is_not_driven_without_rows(self, name, tmp_path, monkeypatch):
@@ -292,43 +360,119 @@ class TestStepping:
         assert last == {s.uid: inert.get(s.uid, full.slots_run) for s in scenario.vehicles}
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        cars=st.lists(
-            st.tuples(
-                st.sampled_from(range(4)),  # approach
-                st.sampled_from(range(1, 4)),  # departure lane offset: never a U-turn
-                st.floats(90.0, 110.0),  # distance to the center
-                st.floats(10.0, 13.0),  # speed
-                st.floats(-2.0, 5.0),  # error of the position estimate
-            ),
-            min_size=2,
-            max_size=4,
-            unique_by=lambda car: car[0],
-        ),
-        channel=st.one_of(
-            st.builds(DistanceIID, st.floats(0.0005, 0.01)),
-            st.builds(CorrelatedBurst, st.floats(0.0005, 0.01), st.floats(0.1, 0.95)),
-            st.builds(
-                Scripted,
-                st.frozensets(st.tuples(st.integers(1, 4), st.integers(1, 40)), max_size=8),
-                st.frozensets(st.integers(1, 4), max_size=1),
-            ),
-        ),
-        F=st.sampled_from([2, 8, 30]),
-        seed=st.integers(0, 1000),
-    )
-    def test_record_modes_agree_on_random_inputs(self, cars, channel, F, seed):
-        vehicles = tuple(
-            VehicleSpec(
-                uid=uid,
-                route=Route(APPROACH_LANES[k], EXIT_LANES[(k + turn) % 4]),
-                x=GEO.x_s - d,
-                v=v,
-                a=0.0,
-                x_est=GEO.x_s - d + err,
-            )
-            for uid, (k, turn, d, v, err) in enumerate(cars, 1)
-        )
-        scenario = Scenario(vehicles=vehicles, geometry=GEO, channel=channel, F=F, seed=seed)
+    @given(scenario=random_scenarios())
+    def test_record_modes_agree_on_random_inputs(self, scenario):
         bare = run_scenario(scenario, record=False)
         assert _outcome(bare) == _outcome(run_scenario(scenario))
+
+
+def _full(trace) -> tuple:
+    return trace.rows, trace.events, trace.violations, trace.summary, trace.slots_run
+
+
+def _no_witness(*args) -> bool:
+    return False
+
+
+MODES = tuple(Mode)
+
+
+@st.composite
+def waiting_cars(draw):
+    """A yielder or a fallback car stopped short of its line, among one to
+    three other cars in any state; about half of the others sit exactly at,
+    or one ulp either side of, the edge of the witness range."""
+    radius = draw(st.sampled_from([150.0, 40.0, 7.0, 0.0]))
+    approaches = draw(st.permutations(range(4)))[: draw(st.integers(2, 4))]
+    specs = tuple(
+        VehicleSpec(
+            uid=uid,
+            route=Route(APPROACH_LANES[k], EXIT_LANES[(k + draw(st.integers(1, 3))) % 4]),
+            x=0.0,
+            v=10.0,
+            a=0.0,
+        )
+        for uid, k in enumerate(approaches, 1)
+    )
+    scenario = Scenario(vehicles=specs, geometry=GEO, sensing_radius=radius)
+    cars = [icsim.sim._Vehicle(spec, 8, GEO) for spec in specs]
+    me, others = cars[0], cars[1:]
+    me.x = me.x_est = draw(st.floats(GEO.x_s - 120.0, GEO.x_col, exclude_max=True))
+    me.v = 0.0
+    me.stopped_since = draw(st.one_of(st.none(), st.integers(1, 40)))
+    if draw(st.booleans()):
+        me.proto.mode = Mode.AWAIT_EXIT
+        me.proceed_uids = frozenset(draw(st.sets(st.integers(1, 6))))
+        me.v = draw(st.sampled_from([0.0, 3.0]))
+    else:
+        me.proto.mode = Mode.SD_FALLBACK
+    edge = radius / 2 - abs(GEO.x_s - me.x)
+    for o in others:
+        o.proto.mode = draw(st.sampled_from(MODES))
+        if edge >= 0 and draw(st.booleans()):
+            d = draw(st.sampled_from([edge, math.nextafter(edge, 0), math.nextafter(edge, 1e9)]))
+            o.x = GEO.x_s + d * draw(st.sampled_from([-1, 1]))
+        else:
+            o.x = GEO.x_s + draw(st.floats(-160.0, 40.0))
+        o.x_est = o.x
+        o.v = draw(st.sampled_from([0.0, 0.0, 10.0]))
+        o.stopped_since = draw(st.one_of(st.none(), st.integers(1, 40)))
+        o.fallback_go = draw(st.booleans())
+        o.triggered = True
+    return scenario, me, {veh.uid: veh for veh in cars}
+
+
+class TestWitness:
+    """A waiting car is spared its sensing only while a witness holds it,
+    and the witness test changes nothing a run gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(state=waiting_cars())
+    def test_a_held_car_waits_by_the_full_rule(self, state):
+        scenario, me, vehicles = state
+        x_s, reach = GEO.x_s, scenario.sensing_radius / 2
+        if not icsim.sim._held(me, vehicles, x_s, reach):
+            return
+        # the full rule, over every car the waiter senses
+        with mock.patch.object(icsim.sim, "_held", _no_witness):
+            out = icsim.sim._sense(vehicles, list(vehicles), scenario, {})
+        if me.proto.mode is Mode.AWAIT_EXIT:
+            assert me.uid not in out  # still_waiting held it: no snapshot, no step
+        else:
+            assert not icsim.sim._my_turn(me, out[me.uid])
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_the_range_bound_edge(self, beyond):
+        # a yielder 73 m short of the centre waits on a car crossing 2 m past
+        # it: 75 m is exactly half the sensing radius
+        scenario = Scenario(
+            vehicles=(
+                VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=127.0, v=0.0, a=1.0),
+                VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=150.0, v=10.0, a=0.0),
+            ),
+            geometry=GEO,
+        )
+        me, other = (icsim.sim._Vehicle(spec, 8, GEO) for spec in scenario.vehicles)
+        me.proto.mode, me.proceed_uids = Mode.AWAIT_EXIT, frozenset({2})
+        other.proto.mode = Mode.CROSSING
+        other.x = GEO.x_s + 2.0
+        if beyond:
+            other.x = math.nextafter(other.x, math.inf)
+        held = icsim.sim._held(me, {1: me, 2: other}, GEO.x_s, scenario.sensing_radius / 2)
+        assert held is not beyond
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    @pytest.mark.parametrize("record", [True, False])
+    def test_runs_unchanged_without_witnesses(self, name, record, tmp_path, monkeypatch):
+        scenario = resolve_scenario(_reference(name, tmp_path))
+        with_witness = run_scenario(scenario, record=record)
+        monkeypatch.setattr(icsim.sim, "_held", _no_witness)
+        assert _full(run_scenario(scenario, record=record)) == _full(with_witness)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=random_scenarios())
+    def test_random_runs_unchanged_without_witnesses(self, scenario):
+        with_witness = run_scenario(scenario)
+        with mock.patch.object(icsim.sim, "_held", _no_witness):
+            without = run_scenario(scenario)
+        assert _full(without) == _full(with_witness)

@@ -312,6 +312,12 @@ class TestPlannedTau:
         snap = make_snapshot(x=196.0, v=0.0)._replace(v_des=10.0)
         assert planned_tau(snap) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("v", [0.0, 5.0, 10.0])
+    def test_vehicle_past_the_center_has_arrived(self, v):
+        # a yielder held at a guard deep in its path re-enters from there
+        snap = make_snapshot(x=200.07, v=v)._replace(v_des=10.0)
+        assert planned_tau(snap) == 0.0
+
 
 class TestSensorRecords:
     """Sensor records are built by keyword with these field names and

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from icsim.channel import Perfect, Scripted
+from icsim.channel import DistanceIID, Perfect, Scripted
 from icsim.kinematics import EXIT_LANES, IntersectionGeometry, Route, path_cell
 from icsim.protocol import Mode, SensorSnapshot, planned_tau
 from icsim.scenarios import bundled_scenario
@@ -86,6 +86,33 @@ class TestScriptedScenarios:
         approach = 90  # slots to cover the approach distance at cruise speed
         bound = 3 * (q + 7) + approach + 60
         assert all(check_liveness(trace, bound).values())
+
+
+class TestReentryPastTheCenter:
+    def test_a_yielder_whose_wait_ends_past_the_center_reenters(self):
+        # car 3 yields to car 1, which falls back, and creeps past the center
+        # of its path before its wait ends; it re-enters against car 1 from
+        # there (this run once raised ValueError in planned_tau)
+        geo = IntersectionGeometry(x_s=200.0, w=3.5)
+        cars = (
+            ("H1R", "H2L", 106.0, 10.0),
+            ("H2R", "H3L", 110.0, 13.0),
+            ("H3R", "H2L", 109.0, 13.0),
+        )
+        scenario = Scenario(
+            vehicles=tuple(
+                VehicleSpec(uid=u, route=Route(cl, nl), x=x, v=v, a=0.0)
+                for u, (cl, nl, x, v) in enumerate(cars, 1)
+            ),
+            geometry=geo,
+            channel=DistanceIID(0.001953125),
+            F=2,
+        )
+        trace = run_scenario(scenario)
+        assert trace.summary["all_done"] and not trace.violations
+        assert (116, 3, "REENTER") in trace.events
+        # the position the slot-116 step reads is the one slot 115 ends at
+        assert [r.x for r in trace.rows if r.slot == 115 and r.uid == 3] == [200.07428571428574]
 
 
 class TestSingleVehicle:
