@@ -215,6 +215,8 @@ def _read_pdr_csv(path) -> list[PdrSample]:
         ):
             raise ValueError("input CSV must have a 'distance_m,pdr' header")
         for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"input CSV line {reader.line_num} does not match the header")
             samples.append(
                 PdrSample(distance=float(row["distance_m"]), pdr=float(row["pdr"]))
             )

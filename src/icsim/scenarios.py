@@ -97,7 +97,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             for v in data["vehicles"]
         )
         kwargs = {k: _number(params[k], k) for k in _PARAM_FIELDS if k in params}
-        return Scenario(
+        scenario = Scenario(
             vehicles=vehicles,
             geometry=geometry,
             channel=channel_from_dict(_object(data, "channel", {"type": "perfect"})),
@@ -112,6 +112,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
+    _known_fields(data, scenario_to_dict(scenario))
+    return scenario
+
+
+def _known_fields(data, form) -> None:
+    """Reject a key of ``data`` that the scenario's own JSON form ``form``
+    lacks, at every level: a misspelt field would otherwise silently take
+    its default. ``data`` has loaded, so each known key holds what its
+    reader accepted."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            if key not in form:
+                raise ScenarioError(f"unknown field {key}")
+            _known_fields(value, form[key])
+    elif isinstance(data, list):
+        for item, item_form in zip(data, form):
+            _known_fields(item, item_form)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -143,11 +160,12 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not JSON, not UTF-8 text, or nested deeper than the parser recurses
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must contain a JSON object")

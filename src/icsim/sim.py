@@ -8,12 +8,11 @@ steps only in a slot that can change it: in an ENTER round, when sensing
 gives it what its step reads, or in the fallback at its line; a crossing or
 going car runs only the exit rule. Delivery runs only when some car sends,
 and nothing is sensed once all cars coast (crossing, done or going in the
-fallback). A waiting car (a yielder, or a fallback car stopped at its line)
-is sensed only when its wait can end: while a witness, a car surely in
-sensing range that holds it by the wait's own rule, keeps it waiting, it
-neither senses nor steps. A run that records no rows stops driving a done
-car past its path. Identical scenario plus seed always produces a
-byte-identical trace.
+fallback). A waiting car (a yielder, or a fallback car stopped short of its
+line) waits by one exact rule, ``_held``: while a car in sensing range holds
+it by the wait's own test, it neither senses nor steps. A run that records
+no rows stops driving a done car past its path. Identical scenario plus
+seed always produces a byte-identical trace.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .protocol import (
     enter_step,
     exit_step,
     sd_main_step,
-    still_waiting,
 )
 
 #: Gap kept between a stop target and the position actually stopped at.
@@ -272,12 +270,12 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     per-slot rows are omitted (summary, events and safety bookkeeping are
     always kept)."""
     w = scenario.geometry.w
-    cars = [
-        _Vehicle(spec, scenario.F, scenario.geometry)
+    # the cars still driven, in uid order; see the end of the integrate pass
+    vehicles = {
+        spec.uid: _Vehicle(spec, scenario.F, scenario.geometry)
         for spec in sorted(scenario.vehicles, key=lambda s: s.uid)
-    ]
-    vehicles = {veh.uid: veh for veh in cars}
-    uids = sorted(vehicles)
+    }
+    uids = list(vehicles)
     # one named stream per receiver; deterministic and disjoint across
     # vehicles (deterministic channels never touch them)
     rngs: dict[int, np.random.Generator] = {}
@@ -292,15 +290,14 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     slots_run = 0
     idle = dict.fromkeys(uids, _NO_MAIL)
     coasting = False
-    live = uids  # the cars still driven; see the end of the integrate pass
 
     for slot in range(1, scenario.max_slots + 1):
         slots_run = slot
         pos: dict[int, tuple[float, float]] = {}  # filled on first use, see _positions
-        snapshots = {} if coasting else _sense(vehicles, live, scenario, pos)
+        snapshots = {} if coasting else _sense(vehicles, scenario, pos)
         outboxes = {}
         actions = {}
-        for veh in cars:
+        for veh in vehicles.values():
             uid = veh.uid
             mode = veh.proto.mode
             if mode is Mode.CROSSING or (mode is Mode.SD_FALLBACK and veh.fallback_go):
@@ -315,7 +312,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             # any other car keeps its control, which its step would only set
             # again: done, untriggered, still yielding, or short of its line
         delivered, lost = (idle, idle) if not outboxes else _exchange(
-            vehicles, live, outboxes, scenario, rngs, slot, pos
+            vehicles, outboxes, scenario, rngs, slot, pos
         )
         # modes change only in the protocol phase, so this one pass over the
         # cars also gives the mixed-mode, all-done and coasting tests
@@ -323,7 +320,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         any_v2v = any_fall = False
         all_done = coasting = True
         inert = []
-        for veh in cars:
+        for veh in vehicles.values():
             uid = veh.uid
             veh.pending_inbox = delivered[uid]
             a_eff = _apply_control(veh, scenario)
@@ -350,13 +347,11 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                     cell or "", actions.get(uid, ""),
                 ))
             elif mode is Mode.DONE and cell is None and veh.x >= veh.exit_x:
-                inert.append(veh)
-        if inert:
-            # a done car past its path sends, hears and holds nothing, and every
-            # reader skips its sensed record; a run without rows stops driving it
-            cars = [veh for veh in cars if veh not in inert]
-            vehicles = {veh.uid: veh for veh in cars}
-            live = list(vehicles)
+                inert.append(uid)
+        # a done car past its path sends, hears and holds nothing, and every
+        # reader skips its sensed record; a run without rows stops driving it
+        for uid in inert:
+            del vehicles[uid]
 
         mixed_run = mixed_run + 1 if (any_v2v and any_fall) else 0
         mixed_window = max(mixed_window, mixed_run)
@@ -375,30 +370,29 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     )
 
 
-def _positions(pos, vehicles, uids, x_s) -> None:
+def _positions(pos, vehicles, x_s) -> None:
     """Every car's 2-D position this slot, into ``pos`` on first use: both
     sensing and delivery read it, and positions change only in the
     integrate pass."""
     if not pos:
-        for u in uids:
-            pos[u] = _position_2d(vehicles[u], x_s)
+        for u, veh in vehicles.items():
+            pos[u] = _position_2d(veh, x_s)
 
 
-def _sense(vehicles, uids, scenario, pos) -> dict:
+def _sense(vehicles, scenario, pos) -> dict:
     """Settle the enter trigger of each approaching car that has not fired
-    yet (it reads the car's own estimate alone), then sense among the cars
-    still driven (``vehicles``) for exactly the cars whose step reads the
-    world this slot: a snapshot for a triggered approaching car, and for a
-    yielder in the slot its wait ends (until then it senses only the cars it
-    waits on); the tuple of cars in range for a fallback car stopped before
-    its line and not yet going. A yielder or stopped fallback car that a
-    witness holds (``_held``: a car surely in range that keeps it waiting by
-    the wait's own rule) is not sensed at all. The cars given something
-    step; every other car not in an ENTER round or at its fallback line
-    keeps its control."""
+    yet (it reads the car's own estimate alone), then give exactly the cars
+    whose step reads the world this slot what they sense among the cars
+    still driven (``vehicles``): a snapshot for a triggered approaching car
+    and for a yielder whose wait has ended. A fallback car stopped short of
+    its line whose turn has come is marked (with None) to go. A waiting car
+    that ``_held`` holds gets nothing. The cars given something step; every
+    other car not in an ENTER round or at its fallback line keeps its
+    control."""
     x_s = scenario.geometry.x_s
-    reach = scenario.sensing_radius / 2
+    r2 = scenario.sensing_radius**2
     need = []
+    out = {}
     for veh in vehicles.values():
         m = veh.proto.mode
         if m is Mode.SD_APPROACH:
@@ -408,31 +402,25 @@ def _sense(vehicles, uids, scenario, pos) -> dict:
                     scenario.epsilon,
                 )
             if veh.triggered:
-                need.append((veh, uids))
+                need.append(veh)
         elif m is Mode.AWAIT_EXIT:
-            if not _held(veh, vehicles, x_s, reach):
-                need.append((veh, veh.proceed_uids))
+            if not _held(veh, vehicles, x_s, r2):
+                need.append(veh)
         elif m is Mode.SD_FALLBACK and not veh.fallback_go and veh.v == 0.0 and veh.x < veh.x_col:
-            if not _held(veh, vehicles, x_s, reach):
-                need.append((veh, uids))
+            if not _held(veh, vehicles, x_s, r2):
+                out[veh.uid] = None
     if not need:
-        return {}
-    _positions(pos, vehicles, uids, x_s)
-    r2 = scenario.sensing_radius**2
+        return out
+    _positions(pos, vehicles, x_s)
     sensed: dict[int, SensedVehicle] = {}  # each car as the others see it, built once
-    out = {}
-    # a yielder whose wait ends is queued again to sense every car
-    for me, scope in need:
+    for me in need:
         uid = me.uid
         mx, my = pos[uid]
         others = []
-        for o_uid in scope:
-            p = pos.get(o_uid)  # None for a car that has left the run
-            if p is None or o_uid == uid:
-                continue
-            dx = mx - p[0]
-            dy = my - p[1]
-            if dx * dx + dy * dy > r2:
+        for o_uid, (ox, oy) in pos.items():
+            dx = mx - ox
+            dy = my - oy
+            if o_uid == uid or dx * dx + dy * dy > r2:
                 continue
             o = sensed.get(o_uid)
             if o is None:
@@ -442,16 +430,10 @@ def _sense(vehicles, uids, scenario, pos) -> dict:
                     _signalling(other), other.x >= other.exit_x, other.stopped_since,
                 )
             others.append(o)
-        if scope is not uids:
-            if not still_waiting(uid, scope, others):
-                need.append((me, uids))
-        elif me.proto.mode is Mode.SD_FALLBACK:
-            out[uid] = tuple(others)
-        else:
-            out[uid] = SensorSnapshot(
-                me.estimate(), me.route, x_s, me.a_des, scenario.resume_accel,
-                scenario.sensing_radius, tuple(others), me.v_des,
-            )
+        out[uid] = SensorSnapshot(
+            me.estimate(), me.route, x_s, me.a_des, scenario.resume_accel,
+            scenario.sensing_radius, tuple(others), me.v_des,
+        )
     return out
 
 
@@ -461,35 +443,42 @@ def _signalling(veh: _Vehicle) -> bool:
     return mode in _SIGNALLING or (mode is Mode.SD_FALLBACK and veh.fallback_go)
 
 
-def _held(me: _Vehicle, vehicles, x_s: float, reach: float) -> bool:
-    """Whether a waiting car surely waits on this slot: some live car it
-    surely senses (``|x_s - x_me| + |x_s - x_o| <= reach``, half the sensing
-    radius) holds it by the wait's own rule. A yielder is held by a car it
-    yielded to that has not exited and is moving or signalling
-    (``still_waiting``); a stopped fallback car by a car that has not exited
-    and signals, is in the box, or stopped earlier (``_my_turn``). Every 2-D
-    position lies on an approach axis, so its distance from the centre is
-    exactly ``|x_s - x|``; the halved radius keeps rounding far from the
-    edge."""
-    reach -= abs(x_s - me.x)
+def _held(me: _Vehicle, vehicles, x_s: float, r2: float) -> bool:
+    """The wait rule of a yielder or of a fallback car stopped short of its
+    line: whether some other car still driven holds it this slot by the
+    wait's own test and is in sensing range (``_in_range``). A yielder waits
+    on a car it yielded to that has not exited and is moving or signalling,
+    the test ``exit_step`` runs. A fallback car waits, by four-way-stop
+    etiquette, on a car that has not exited and signals, is in the box, or
+    stopped before it (the earlier stop, then the lower uid, goes first)."""
     if me.proto.mode is Mode.AWAIT_EXIT:
         for o_uid in me.proceed_uids:
             o = vehicles.get(o_uid)  # None for a car that has left the run
             if (
-                o is not None and o is not me and o.x < o.exit_x and abs(x_s - o.x) <= reach
+                o is not None and o is not me and o.x < o.exit_x
                 and (o.stopped_since is None or _signalling(o))
+                and _in_range(me, o, x_s, r2)
             ):
                 return True
         return False
-    mine = _turn(me)
+    mine = (me.stopped_since if me.stopped_since is not None else 1 << 30, me.uid)
     for o in vehicles.values():
-        if o is me or o.x >= o.exit_x or abs(x_s - o.x) > reach:
-            continue
-        if o.x >= me.x_col or _signalling(o) or (
-            o.stopped_since is not None and (o.stopped_since, o.uid) < mine
-        ):
+        if o is not me and o.x < o.exit_x and (
+            o.x >= me.x_col or _signalling(o)
+            or (o.stopped_since is not None and (o.stopped_since, o.uid) < mine)
+        ) and _in_range(me, o, x_s, r2):
             return True
     return False
+
+
+def _in_range(me: _Vehicle, o: _Vehicle, x_s: float, r2: float) -> bool:
+    """Whether ``me`` senses ``o``: ``_sense``'s test, on the same squared
+    distance between the two cars' 2-D positions."""
+    mx, my = _position_2d(me, x_s)
+    ox, oy = _position_2d(o, x_s)
+    dx = mx - ox
+    dy = my - oy
+    return dx * dx + dy * dy <= r2
 
 
 def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozenset, str]:
@@ -541,14 +530,11 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
             veh.control = ("yield",)
         return _NO_MAIL, ""
 
-    if mode is Mode.SD_FALLBACK:
-        veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
-        # a car already occupying the intersection never parks there: it
-        # finishes the crossing carefully instead of queueing
-        if veh.x >= veh.x_col or (veh.v == 0.0 and _my_turn(veh, snap)):
-            veh.fallback_go = True
-            events.append((slot, veh.uid, "FALLBACK_GO"))
-            veh.control = _CRUISE
+    # a fallback car here goes: its turn at its line has come, or it already
+    # occupies the intersection, where it never parks but finishes the
+    # crossing carefully instead of queueing
+    veh.fallback_go = True
+    events.append((slot, veh.uid, "FALLBACK_GO"))
     return _NO_MAIL, ""
 
 
@@ -588,27 +574,6 @@ def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
     return io.outbox, "" if io.action is Action.NONE else io.action.value
 
 
-def _my_turn(veh: _Vehicle, seen: tuple[SensedVehicle, ...]) -> bool:
-    """Four-way-stop etiquette over the sensed cars ``seen``: go only when
-    nobody signals, nobody is in the box, and no earlier-stopped vehicle is
-    still waiting at its line."""
-    mine = _turn(veh)
-    for o_uid, _, x, _, _, light, exited, stopped_since in seen:
-        if exited:
-            continue
-        if light or x >= veh.x_col:
-            return False
-        if stopped_since is not None and (stopped_since, o_uid) < mine:
-            return False
-    return True
-
-
-def _turn(veh: _Vehicle) -> tuple[int, int]:
-    """A fallback car's place in the queue at the lines: when it stopped
-    (last if it has not), then its uid."""
-    return (veh.stopped_since if veh.stopped_since is not None else 1 << 30, veh.uid)
-
-
 def _apply_verdict(veh: _Vehicle, scenario, slot, events):
     """Turn a completed consensus into a crossing or yielding regime."""
     geo = scenario.geometry
@@ -639,21 +604,20 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
     veh.control = ("yield",)
 
 
-def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos):
+def _exchange(vehicles, outboxes, scenario, rngs, slot, pos):
     """Deliver this slot's outboxes, one per car that sends, through the
-    channel model to the listening cars of ``uids``."""
+    channel model to the listening cars still driven (``vehicles``)."""
     x_s = scenario.geometry.x_s
     model = scenario.channel
-    delivered = {u: set() for u in uids}
-    lost = {u: set() for u in uids}
-    for r_uid in uids:
-        recv = vehicles[r_uid]
+    delivered = {u: set() for u in vehicles}
+    lost = {u: set() for u in vehicles}
+    for r_uid, recv in vehicles.items():
         mode = recv.proto.mode
         listening = mode is Mode.V2V_ENTER or (mode is Mode.SD_APPROACH and recv.triggered)
         if not listening:
             continue
         links = []
-        _positions(pos, vehicles, uids, x_s)
+        _positions(pos, vehicles, x_s)
         rx, ry = pos[r_uid]
         for s_uid, msgs in outboxes.items():
             if s_uid == r_uid:
@@ -670,8 +634,8 @@ def _exchange(vehicles, uids, outboxes, scenario, rngs, slot, pos):
         delivered[r_uid] |= got
         lost[r_uid] |= missed
     return (
-        {u: frozenset(delivered[u]) for u in uids},
-        {u: frozenset(lost[u]) for u in uids},
+        {u: frozenset(delivered[u]) for u in vehicles},
+        {u: frozenset(lost[u]) for u in vehicles},
     )
 
 

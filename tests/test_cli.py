@@ -196,6 +196,33 @@ class TestMalformedScenario:
         assert run_simulate(fig5b(path, value), tmp_path) == EXIT_CONFIG
         assert assert_one_line_error(capsys) == f"error: {error}\n"
 
+    @pytest.mark.parametrize(
+        "path,key",
+        [
+            ((), "sensing_radius"),
+            (("geometry",), "ws"),
+            (("params",), "sensing_raduis"),
+            (("vehicles", 1), "dx_bnd"),
+            (("channel",), "xi"),  # fig5b's channel is scripted
+        ],
+        ids=repr,
+    )
+    def test_unknown_field(self, path, key, tmp_path, capsys):
+        data = fig5b()
+        _parent(data, path + (key,))[key] = 40
+        assert run_simulate(data, tmp_path) == EXIT_CONFIG
+        assert assert_one_line_error(capsys) == f"error: unknown field {key}\n"
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["utf-16 mark", "deep nesting"]
+    )
+    def test_unreadable_file(self, content, tmp_path, capsys):
+        path = tmp_path / "in.scenario.json"
+        path.write_bytes(content)
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys)
+
     def test_negative_seed_flag_on_a_random_channel(self, tmp_path, capsys):
         data = fig5b(channel={"type": "distance_iid", "lambda": 0.001})
         assert run_simulate(data, tmp_path, "--seed", "-1") == EXIT_CONFIG
@@ -396,6 +423,16 @@ class TestFitPdr:
         assert rc == EXIT_CONFIG
         assert not out.exists()
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("row", ["200", "200,0.8,extra"])
+    def test_row_unlike_the_header_writes_nothing(self, row, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        src.write_text(f"distance_m,pdr\n100,0.9\n{row}\n")
+        out = tmp_path / "o"
+        assert main(["fit-pdr", "--input", str(src), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = assert_one_line_error(capsys)
+        assert err == "error: input CSV line 3 does not match the header\n"
 
 
 class TestDiagram:

@@ -1,8 +1,8 @@
 """Cross-cutting invariants: message-set bounds, counter bounds, the
 ordering between a yielder's and a proceeder's collision-area occupancy, the
 agreement of the event log with the recorded rows, which cars the engine
-steps, the agreement of the two record modes, and the witness test that
-spares a waiting car its sensing."""
+steps, the agreement of the two record modes, and the one rule by which a
+waiting car waits."""
 
 import itertools
 import math
@@ -22,7 +22,7 @@ from icsim.kinematics import (
     Route,
     collision_area,
 )
-from icsim.protocol import Mode, simulate_enter_round
+from icsim.protocol import Mode, simulate_enter_round, still_waiting
 from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import Scenario, VehicleSpec, run_scenario
 
@@ -206,7 +206,7 @@ class TestSensing:
     in which some car sends, and nothing is sensed or exchanged once every
     car coasts."""
 
-    READERS = ("sd_main_step", "exit_step", "competitors", "build_enter", "_my_turn")
+    READERS = ("sd_main_step", "exit_step", "competitors", "build_enter")
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_no_snapshot_goes_unread(self, name, tmp_path, monkeypatch):
@@ -241,7 +241,7 @@ class TestSensing:
             return sense(*args)
 
         def counted_exchange(*args):
-            exchanged.append(args[5])  # the slot
+            exchanged.append(args[4])  # the slot
             return exchange(*args)
 
         monkeypatch.setattr(icsim.sim, "_sense", counted_sense)
@@ -298,11 +298,14 @@ class TestStepping:
         self, name, record, tmp_path, monkeypatch
     ):
         step, sense, held = icsim.sim._protocol_phase, icsim.sim._sense, icsim.sim._held
-        stepped, held_now, held_stopped = [], set(), []
+        stepped, held_now, held_stopped, given = [], set(), [], {}
 
         def counted_sense(*args):
             held_now.clear()
-            return sense(*args)
+            out = sense(*args)
+            given.clear()
+            given.update(out)
+            return out
 
         def counted_held(veh, *args):
             if held(veh, *args):
@@ -315,13 +318,14 @@ class TestStepping:
         def checked_step(veh, snap, *args):
             mode = veh.proto.mode
             assert mode not in (Mode.CROSSING, Mode.DONE) and not veh.fallback_go
-            # a waiting car that a witness holds, a stopped fallback car among
+            # a waiting car that _held holds, a stopped fallback car among
             # them, keeps its control
             assert veh.uid not in held_now, (mode, veh.uid)
-            # in an ENTER round, given what its step reads, or at its fallback line
+            # in an ENTER round, given what its step reads (a snapshot, or the
+            # mark of a fallback car whose turn has come), or at its fallback line
             assert (
                 mode is Mode.V2V_ENTER
-                or snap is not None
+                or (veh.uid in given and (snap is not None or mode is Mode.SD_FALLBACK))
                 or (mode is Mode.SD_FALLBACK and veh.x >= veh.x_col)
             ), (mode, veh.uid)
             stepped.append(mode)
@@ -370,8 +374,58 @@ def _full(trace) -> tuple:
     return trace.rows, trace.events, trace.violations, trace.summary, trace.slots_run
 
 
-def _no_witness(*args) -> bool:
+def _nothing_holds(*args) -> bool:
     return False
+
+
+def _my_turn(me, seen) -> bool:
+    """Four-way-stop etiquette over the sensed records ``seen``: a fallback
+    car stopped at its line goes only when nobody signals, nobody is in the
+    box, and no earlier-stopped car still waits at its line."""
+    mine = (me.stopped_since if me.stopped_since is not None else 1 << 30, me.uid)
+    for o_uid, _, x, _, _, light, exited, stopped_since in seen:
+        if exited:
+            continue
+        if light or x >= me.x_col:
+            return False
+        if stopped_since is not None and (stopped_since, o_uid) < mine:
+            return False
+    return True
+
+
+def _waits(me, vehicles, scenario) -> bool:
+    """The reference wait rule, over the records ``_sense`` builds: those of
+    the snapshot it gives a yielder that nothing holds, which are what any
+    car in ``me``'s place senses. A yielder waits by ``still_waiting``, a
+    fallback car until its turn comes by ``_my_turn``."""
+    mode = me.proto.mode
+    me.proto.mode = Mode.AWAIT_EXIT
+    try:
+        with mock.patch.object(icsim.sim, "_held", _nothing_holds):
+            seen = icsim.sim._sense(vehicles, scenario, {})[me.uid].others
+    finally:
+        me.proto.mode = mode
+    if mode is Mode.AWAIT_EXIT:
+        return still_waiting(me.uid, me.proceed_uids, seen)
+    return not _my_turn(me, seen)
+
+
+def _under_the_reference(scenario):
+    """A stand-in for ``_held`` that decides every wait by ``_waits``."""
+    return lambda me, vehicles, *_: _waits(me, vehicles, scenario)
+
+
+def _edge(me, o, radius) -> list[float]:
+    """The distances short of the centre at which ``o``, on its approach, is
+    ``radius`` from ``me``: the roots r >= 0 of |p - r u| = radius, where p
+    is ``me``'s 2-D position and r u is ``o``'s."""
+    px, py = icsim.sim._position_2d(me, GEO.x_s)
+    ux, uy = -o.heading_in[0], -o.heading_in[1]
+    b = px * ux + py * uy
+    disc = b * b - (px * px + py * py) + radius * radius
+    if disc < 0:
+        return []
+    return [r for r in (b - math.sqrt(disc), b + math.sqrt(disc)) if r >= 0]
 
 
 MODES = tuple(Mode)
@@ -380,8 +434,9 @@ MODES = tuple(Mode)
 @st.composite
 def waiting_cars(draw):
     """A yielder or a fallback car stopped short of its line, among one to
-    three other cars in any state; about half of the others sit exactly at,
-    or one ulp either side of, the edge of the witness range."""
+    three other cars in any state; about half of the others sit on their
+    approach exactly at, or one ulp either side of, the edge of the
+    waiter's sensing range."""
     radius = draw(st.sampled_from([150.0, 40.0, 7.0, 0.0]))
     approaches = draw(st.permutations(range(4)))[: draw(st.integers(2, 4))]
     specs = tuple(
@@ -406,12 +461,13 @@ def waiting_cars(draw):
         me.v = draw(st.sampled_from([0.0, 3.0]))
     else:
         me.proto.mode = Mode.SD_FALLBACK
-    edge = radius / 2 - abs(GEO.x_s - me.x)
     for o in others:
         o.proto.mode = draw(st.sampled_from(MODES))
-        if edge >= 0 and draw(st.booleans()):
-            d = draw(st.sampled_from([edge, math.nextafter(edge, 0), math.nextafter(edge, 1e9)]))
-            o.x = GEO.x_s + d * draw(st.sampled_from([-1, 1]))
+        edge = _edge(me, o, radius)
+        if edge and draw(st.booleans()):
+            r = draw(st.sampled_from(edge))
+            r = draw(st.sampled_from([r, math.nextafter(r, 0), math.nextafter(r, math.inf)]))
+            o.x = GEO.x_s - r
         else:
             o.x = GEO.x_s + draw(st.floats(-160.0, 40.0))
         o.x_est = o.x
@@ -422,57 +478,53 @@ def waiting_cars(draw):
     return scenario, me, {veh.uid: veh for veh in cars}
 
 
-class TestWitness:
-    """A waiting car is spared its sensing only while a witness holds it,
-    and the witness test changes nothing a run gives."""
+class TestWaitRule:
+    """A waiting car waits exactly while the reference rule over what it
+    senses says it waits, and deciding waits by that rule instead changes
+    nothing a run gives."""
 
     @settings(max_examples=400, deadline=None)
     @given(state=waiting_cars())
-    def test_a_held_car_waits_by_the_full_rule(self, state):
+    def test_held_is_the_full_rule(self, state):
         scenario, me, vehicles = state
-        x_s, reach = GEO.x_s, scenario.sensing_radius / 2
-        if not icsim.sim._held(me, vehicles, x_s, reach):
-            return
-        # the full rule, over every car the waiter senses
-        with mock.patch.object(icsim.sim, "_held", _no_witness):
-            out = icsim.sim._sense(vehicles, list(vehicles), scenario, {})
-        if me.proto.mode is Mode.AWAIT_EXIT:
-            assert me.uid not in out  # still_waiting held it: no snapshot, no step
-        else:
-            assert not icsim.sim._my_turn(me, out[me.uid])
+        held = icsim.sim._held(me, vehicles, GEO.x_s, scenario.sensing_radius**2)
+        assert held is _waits(me, vehicles, scenario)
 
     @pytest.mark.parametrize("beyond", [False, True])
-    def test_the_range_bound_edge(self, beyond):
-        # a yielder 73 m short of the centre waits on a car crossing 2 m past
-        # it: 75 m is exactly half the sensing radius
+    def test_the_sensing_range_edge(self, beyond):
+        # a yielder 75 m short of the centre waits on a car crossing from the
+        # opposite approach, exactly the sensing radius away or one ulp beyond
         scenario = Scenario(
             vehicles=(
-                VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=127.0, v=0.0, a=1.0),
-                VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=150.0, v=10.0, a=0.0),
+                VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=125.0, v=0.0, a=1.0),
+                VehicleSpec(uid=2, route=Route("H3R", "H1L"), x=125.0, v=10.0, a=0.0),
             ),
             geometry=GEO,
         )
         me, other = (icsim.sim._Vehicle(spec, 8, GEO) for spec in scenario.vehicles)
         me.proto.mode, me.proceed_uids = Mode.AWAIT_EXIT, frozenset({2})
         other.proto.mode = Mode.CROSSING
-        other.x = GEO.x_s + 2.0
-        if beyond:
-            other.x = math.nextafter(other.x, math.inf)
-        held = icsim.sim._held(me, {1: me, 2: other}, GEO.x_s, scenario.sensing_radius / 2)
+        radius = scenario.sensing_radius
+        distance = math.nextafter(radius, math.inf) if beyond else radius
+        other.x = GEO.x_s - (distance - (GEO.x_s - me.x))
+        gap = math.dist(icsim.sim._position_2d(me, GEO.x_s), icsim.sim._position_2d(other, GEO.x_s))
+        assert gap == distance
+        held = icsim.sim._held(me, {1: me, 2: other}, GEO.x_s, radius**2)
         assert held is not beyond
+        assert _waits(me, {1: me, 2: other}, scenario) is not beyond
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     @pytest.mark.parametrize("record", [True, False])
-    def test_runs_unchanged_without_witnesses(self, name, record, tmp_path, monkeypatch):
+    def test_runs_unchanged_under_the_reference_rule(self, name, record, tmp_path, monkeypatch):
         scenario = resolve_scenario(_reference(name, tmp_path))
-        with_witness = run_scenario(scenario, record=record)
-        monkeypatch.setattr(icsim.sim, "_held", _no_witness)
-        assert _full(run_scenario(scenario, record=record)) == _full(with_witness)
+        engine = run_scenario(scenario, record=record)
+        monkeypatch.setattr(icsim.sim, "_held", _under_the_reference(scenario))
+        assert _full(run_scenario(scenario, record=record)) == _full(engine)
 
     @settings(max_examples=100, deadline=None)
     @given(scenario=random_scenarios())
-    def test_random_runs_unchanged_without_witnesses(self, scenario):
-        with_witness = run_scenario(scenario)
-        with mock.patch.object(icsim.sim, "_held", _no_witness):
-            without = run_scenario(scenario)
-        assert _full(without) == _full(with_witness)
+    def test_random_runs_unchanged_under_the_reference_rule(self, scenario):
+        engine = run_scenario(scenario)
+        with mock.patch.object(icsim.sim, "_held", _under_the_reference(scenario)):
+            reference = run_scenario(scenario)
+        assert _full(reference) == _full(engine)

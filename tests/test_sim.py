@@ -300,7 +300,7 @@ class TestExitRule:
     @pytest.mark.parametrize("mode, action", [(Mode.CROSSING, "Exited"), (Mode.SD_FALLBACK, "")])
     def test_done_once_estimate_less_bound_clears(self, mode, action):
         veh = self.car(mode, self.scenario.geometry.path_exit(self.route) + self.dx)
-        assert _sense({1: veh}, [1], self.scenario, {}) == {}  # no sensing needed
+        assert _sense({1: veh}, self.scenario, {}) == {}  # no sensing needed
         events = []
         assert _exit_rule(veh, 7, events) == action
         assert veh.proto.mode is Mode.DONE
