@@ -5,7 +5,9 @@ sha256 of ``trace.csv``, a NUL byte and ``summary.json``. The inputs are the
 bundled scenarios, every file under ``tests/scenarios`` and a few seeded
 scenarios on the random channels, whose outputs depend on the order of the
 channel's random draws. ``monte_carlo_enter_delay`` is pinned for each
-channel model that has a burst law.
+channel model that has a burst law; the ``sweep-delay`` (with Monte Carlo
+columns) and ``v2v-prob`` CSVs by their sha256; and ``expected_enter_delay``
+and ``v2v_probability`` by exact value on a grid of F, xi and distance.
 
 A refactor must leave every value here unchanged. The digests change only in
 a change that alters behaviour on purpose and says so in CHANGES.md.
@@ -17,8 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from icsim.analytics import monte_carlo_enter_delay
-from icsim.channel import CorrelatedBurst, DistanceIID, Perfect
+from icsim.analytics import (
+    DECAY_HARSH,
+    expected_enter_delay,
+    monte_carlo_enter_delay,
+    v2v_probability,
+)
+from icsim.channel import CorrelatedBurst, DistanceIID, Perfect, pdr
 from icsim.cli import main
 
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -77,6 +84,69 @@ MONTE_CARLO = [
     ((CorrelatedBurst(0.00063, 0.5), 250.0, 15, 2000, 7), (3.586, 0.028402558910709752)),
 ]
 
+# subcommand: (arguments after --out, output file, its sha256)
+CURVE_CSVS = {
+    "sweep-delay": (
+        ["--trials", "500", "--seed", "3"],
+        "delay_curve.csv",
+        "6e3df69b00bbc4662642f1f6b9f903a031b9a2224accc5111632714ae712de21",
+    ),
+    "v2v-prob": (
+        [],
+        "v2v_probability.csv",
+        "b6429f32976ce6f4b94a29e742fe5393b9867152bc78768387b0a6526fc4a5e2",
+    ),
+}
+
+# (F, xi, d) at the harsh decay rate: (expected_enter_delay, v2v_probability)
+ANALYTICS = {
+    (0, None, 100.0): (2.9999999999999996, 0.892956154883005),
+    (0, None, 300.0): (3.0, 0.7813491368070589),
+    (0, None, 500.0): (3.0, 0.7504860162729965),
+    (0, 0.5, 100.0): (2.9999999999999996, 0.892956154883005),
+    (0, 0.5, 300.0): (3.0, 0.7813491368070589),
+    (0, 0.5, 500.0): (3.0, 0.7504860162729965),
+    (0, 0.9, 100.0): (2.9999999999999996, 0.892956154883005),
+    (0, 0.9, 300.0): (3.0, 0.7813491368070589),
+    (0, 0.9, 500.0): (3.0, 0.7504860162729965),
+    (2, None, 100.0): (3.24062186605981, 0.9984092509658378),
+    (2, None, 300.0): (3.5986894543948713, 0.9771964068218156),
+    (2, None, 500.0): (3.827938062588589, 0.9430009657958149),
+    (2, 0.5, 100.0): (3.3091783305134097, 0.9732390387207512),
+    (2, 0.5, 300.0): (3.652667603044185, 0.9453372842017647),
+    (2, 0.5, 500.0): (3.8351310507331053, 0.9376215040682492),
+    (2, 0.9, 100.0): (3.376120766560121, 0.9132944854552341),
+    (2, 0.9, 300.0): (3.7605292562896304, 0.8228928008137176),
+    (2, 0.9, 500.0): (3.9518440602402642, 0.7978936731811272),
+    (8, None, 100.0): (3.2474869155984303, 0.9999999947793862),
+    (8, None, 300.0): (3.7207269768197597, 0.999974132196734),
+    (8, None, 500.0): (4.22673988909109, 0.9993205064829828),
+    (8, 0.5, 100.0): (3.514941873373897, 0.9995818599800117),
+    (8, 0.5, 300.0): (4.031696066466489, 0.9991458950656525),
+    (8, 0.5, 500.0): (4.285366530054407, 0.9990253360010664),
+    (8, 0.9, 100.0): (4.835702114793291, 0.953921134644815),
+    (8, 0.9, 300.0): (5.901943040320806, 0.9058779729572429),
+    (8, 0.9, 500.0): (6.276171568723928, 0.8925924115690513),
+    (15, None, 100.0): (3.247486973760173, 0.9999999999999979),
+    (15, None, 300.0): (3.7210901468798796, 0.9999999905236333),
+    (15, None, 500.0): (4.238803126165274, 0.9999961284092689),
+    (15, 0.5, 100.0): (3.522608462785918, 0.9999967332810938),
+    (15, 0.5, 300.0): (4.046258568252901, 0.9999933273052004),
+    (15, 0.5, 500.0): (4.303022330509629, 0.9999923854375083),
+    (15, 0.9, 100.0): (6.257284123185526, 0.9779606215450977),
+    (15, 0.9, 300.0): (7.764286580048667, 0.9549817262437331),
+    (15, 0.9, 500.0): (8.241159679124612, 0.9486272834170014),
+    (30, None, 100.0): (3.247486973760228, 1.0),
+    (30, None, 300.0): (3.7210904001662146, 0.9999999999999996),
+    (30, None, 500.0): (4.2389298828772715, 0.9999999999399264),
+    (30, 0.5, 100.0): (3.522715000647626, 0.9999999999003076),
+    (30, 0.5, 300.0): (4.04646558408215, 0.9999999997963656),
+    (30, 0.5, 500.0): (4.3032763201552475, 0.999999999767622),
+    (30, 0.9, 100.0): (7.954297857489366, 0.9954622874192577),
+    (30, 0.9, 300.0): (9.950706360653387, 0.9907311366513754),
+    (30, 0.9, 500.0): (10.548939335623086, 0.9894228132239489),
+}
+
 
 def _reference(name, tmp_path) -> str:
     if name in SEEDED:
@@ -116,3 +186,17 @@ def test_simulate_outputs_unchanged(name, tmp_path, capsys):
 def test_monte_carlo_values_unchanged(case):
     (model, d, F, trials, seed), expected = MONTE_CARLO[case]
     assert monte_carlo_enter_delay(model, d, F, trials, seed) == expected
+
+
+@pytest.mark.parametrize("command", sorted(CURVE_CSVS))
+def test_curve_csvs_unchanged(command, tmp_path, capsys):
+    args, name, digest = CURVE_CSVS[command]
+    assert main([command, "--out", str(tmp_path), *args]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("key", sorted(ANALYTICS, key=repr))
+def test_analytics_values_unchanged(key):
+    F, xi, d = key
+    p = pdr(d, DECAY_HARSH)
+    assert (expected_enter_delay(p, F, xi), v2v_probability(p, F, xi)) == ANALYTICS[key]
