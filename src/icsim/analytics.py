@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelModel, burst_length_pmf
+from .channel import ChannelModel, burst_length_pmf, burst_length_weights
 from .protocol import closed_form_enter_delay, simulate_enter_round
 
 #: Fitted delivery-ratio decay rates per environment, 1/m.
@@ -52,11 +52,16 @@ def expected_enter_delay(p: float, F: int, xi: float | None = None) -> float:
         raise ValueError("F must be nonnegative")
     num = 0.0
     den = 0.0
-    for m in range(F + 1):
-        w = burst_length_pmf(p, xi, m)
-        num += w * closed_form_enter_delay(F, {1: m, 2: 0})
+    for w, delay in zip(burst_length_weights(p, xi, F), _closed_form_delay_by_burst(F)):
+        num += w * delay
         den += w
     return num / den
+
+
+@lru_cache(maxsize=None)
+def _closed_form_delay_by_burst(F: int) -> tuple[int, ...]:
+    """``closed_form_enter_delay`` per burst length 0..F at one receiver."""
+    return tuple(closed_form_enter_delay(F, {1: m, 2: 0}) for m in range(F + 1))
 
 
 def v2v_probability(p: float, F: int, xi: float | None = None) -> float:
@@ -88,14 +93,16 @@ def fit_decay_rate(samples: list[PdrSample]) -> float:
 
 
 @lru_cache(maxsize=None)
-def _simulated_delay_by_burst(F: int) -> tuple[int, ...]:
+def _simulated_delay_by_burst(F: int) -> np.ndarray:
     """Resolution delay of the two-vehicle round per burst length 0..F,
-    measured on the actual protocol machine."""
+    measured on the actual protocol machine, as a read-only float array."""
     delays = []
     for m in range(F + 1):
         res = simulate_enter_round(2, F=F, losses={(2, s) for s in range(1, m + 1)})
         delays.append(res.resolution_slot())
-    return tuple(delays)
+    table = np.array(delays, dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def monte_carlo_enter_delay(
@@ -120,13 +127,12 @@ def monte_carlo_enter_delay(
     p, xi = model.burst_law(d)
     if p <= 0:
         raise ValueError("zero-delivery channel never completes a round")
-    weights = np.array([burst_length_pmf(p, xi, m) for m in range(F + 1)])
+    weights = np.array(burst_length_weights(p, xi, F))
     cdf = np.cumsum(weights / weights.sum())
-    delays_by_burst = np.array(_simulated_delay_by_burst(F), dtype=float)
     rng = np.random.default_rng([seed, 2])
     bursts = np.searchsorted(cdf, rng.random(n_trials), side="right")
     bursts = np.minimum(bursts, F)  # guard the u == 1.0 edge
-    delays = delays_by_burst[bursts]
+    delays = _simulated_delay_by_burst(F)[bursts]
     mean = float(delays.mean())
     stderr = float(delays.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
     return mean, stderr

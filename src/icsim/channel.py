@@ -9,7 +9,7 @@ average over; its JSON form (``to_dict``, read back through
 ``CHANNEL_TYPES`` by ``from_dict``, which takes the scenario loader's
 number and integer readers); and ``uses_rng``, whether it draws random numbers.
 ``sample_delivery`` is the one delivery step of both exchange loops.
-Burst-length probability laws used by the analytics live here too.
+The burst-length law lives here too, for one length or for lengths 0..F.
 """
 
 from __future__ import annotations
@@ -187,14 +187,22 @@ def burst_length_pmf(p: float, xi: float | None, m: int) -> float:
     form does not sum to one over all m; consumers normalize over the range
     they average on.
     """
+    return _burst_law(p, xi, m)(m)
+
+
+def burst_length_weights(p: float, xi: float | None, F: int) -> list[float]:
+    """``burst_length_pmf(p, xi, m)`` for m = 0..F, the inputs checked once."""
+    return list(map(_burst_law(p, xi, F), range(F + 1)))
+
+
+def _burst_law(p: float, xi: float | None, m: int):
+    """The law as a function of the burst length k <= m, its inputs checked."""
     if not (0 <= p <= 1):
         raise ValueError("delivery probability must be in [0, 1]")
     if m < 0:
         raise ValueError("burst length must be nonnegative")
     if xi is None:
-        return (1.0 - p) ** m * p
+        return lambda k: (1.0 - p) ** k * p
     if not (0 <= xi < 1):
         raise ValueError("xi must be in [0, 1)")
-    if m == 0:
-        return p
-    return (1.0 - p) * p * xi ** (m - 1)
+    return lambda k: p if k == 0 else (1.0 - p) * p * xi ** (k - 1)

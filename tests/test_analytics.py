@@ -14,6 +14,7 @@ from icsim.analytics import (
     PdrSample,
     expected_enter_delay,
     fit_decay_rate,
+    _simulated_delay_by_burst,
     monte_carlo_enter_delay,
     v2v_probability,
 )
@@ -196,6 +197,13 @@ class TestMonteCarloEnterDelay:
         a = monte_carlo_enter_delay(DistanceIID(0.0013), 300.0, 20, 5000, 99)
         b = monte_carlo_enter_delay(DistanceIID(0.0013), 300.0, 20, 5000, 99)
         assert a == b
+
+    def test_cached_delay_table_is_read_only(self):
+        table = _simulated_delay_by_burst(4)
+        with pytest.raises(ValueError):
+            table[0] = 99.0
+        assert _simulated_delay_by_burst(4) is table
+        assert table.tolist() == [3.0, 5.0, 5.0, 7.0, 7.0]
 
 
 class TestDelayCurve:

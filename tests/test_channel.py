@@ -1,6 +1,7 @@
 """Channel model tests: delivery laws, burst statistics, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from icsim.channel import (
     Perfect,
     Scripted,
     burst_length_pmf,
+    burst_length_weights,
     pdr,
     sample_delivery,
 )
@@ -223,6 +225,28 @@ class TestBurstLengthPmf:
         total = sum(burst_length_pmf(p, xi, m) for m in range(0, 5000))
         assert total == pytest.approx(p + (1 - p) * p / (1 - xi), abs=1e-9)
         assert total != pytest.approx(1.0, abs=0.01)
+
+    @given(
+        p=st.floats(0, 1),
+        xi=st.none() | st.floats(0, 1, exclude_max=True),
+        F=st.integers(0, 60),
+    )
+    def test_weights_are_the_pmf_exactly(self, p, xi, F):
+        assert burst_length_weights(p, xi, F) == [burst_length_pmf(p, xi, m) for m in range(F + 1)]
+
+    @given(
+        p=st.floats(-0.5, 1.5) | st.just(math.nan),
+        xi=st.none() | st.floats(-0.5, 1.5) | st.just(math.nan),
+        F=st.integers(-3, 60),
+    )
+    def test_weights_refuse_what_the_pmf_refuses(self, p, xi, F):
+        try:
+            burst_length_pmf(p, xi, F)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                burst_length_weights(p, xi, F)
+        else:
+            assert len(burst_length_weights(p, xi, F)) == F + 1
 
     @pytest.mark.slow
     def test_empirical_burst_histogram_iid(self):
