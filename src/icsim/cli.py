@@ -208,18 +208,14 @@ def cmd_fit_pdr(args) -> int:
 
 def _read_pdr_csv(path) -> list[PdrSample]:
     samples = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # spreadsheets write a BOM
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"distance_m", "pdr"} <= set(
-            reader.fieldnames
-        ):
+        if not {"distance_m", "pdr"} <= set(reader.fieldnames or ()):
             raise ValueError("input CSV must have a 'distance_m,pdr' header")
         for row in reader:
             if None in row or None in row.values():
                 raise ValueError(f"input CSV line {reader.line_num} does not match the header")
-            samples.append(
-                PdrSample(distance=float(row["distance_m"]), pdr=float(row["pdr"]))
-            )
+            samples.append(PdrSample(distance=float(row["distance_m"]), pdr=float(row["pdr"])))
     if not samples:
         raise ValueError("input CSV contains no samples")
     return samples

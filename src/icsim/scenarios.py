@@ -161,7 +161,7 @@ def scenario_to_dict(s: Scenario) -> dict:
 def load_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -170,6 +170,16 @@ def load_scenario(path) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must contain a JSON object")
     return scenario_from_dict(data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError(f"duplicate key {key}")
+        data[key] = value
+    return data
 
 
 def save_scenario(s: Scenario, path) -> None:

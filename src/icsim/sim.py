@@ -793,16 +793,15 @@ def check_liveness(trace: SimTrace, bound: int) -> dict[int, bool]:
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
+    text = "".join(
+        f"{r.slot},{r.uid},{r.mode},{r.x!r},{r.v!r},{r.a!r},{r.f},"
+        f'"{r.sent}","{r.received}","{r.lost}",{r.occupancy},{r.action}\n'
+        for r in trace.rows
+    )
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in trace.rows:
-            fh.write(
-                f"{r.slot},{r.uid},{r.mode},{r.x!r},{r.v!r},{r.a!r},{r.f},"
-                f'"{r.sent}","{r.received}","{r.lost}",{r.occupancy},{r.action}\n'
-            )
+        fh.write(",".join(TRACE_COLUMNS) + "\n" + text)
 
 
 def write_summary_json(trace: SimTrace, path) -> None:
     with open(path, "w") as fh:
-        json.dump(trace.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(trace.summary, indent=2, sort_keys=True) + "\n")

@@ -213,6 +213,18 @@ class TestMalformedScenario:
         assert run_simulate(data, tmp_path) == EXIT_CONFIG
         assert assert_one_line_error(capsys) == f"error: unknown field {key}\n"
 
+    @pytest.mark.parametrize("path,key", [((), "F"), (("geometry",), "w"), (("vehicles", 1), "x")])
+    def test_duplicate_key(self, path, key, tmp_path, capsys):
+        data = fig5b()
+        obj = _parent(data, path + (key,))
+        obj["repeat"] = 0
+        text = json.dumps(data).replace('"repeat": 0', f'"{key}": {obj[key] + 1}')
+        path = tmp_path / "in.scenario.json"
+        path.write_text(text)
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert assert_one_line_error(capsys) == f"error: duplicate key {key}\n"
+
     @pytest.mark.parametrize(
         "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["utf-16 mark", "deep nesting"]
     )
@@ -397,6 +409,17 @@ class TestFitPdr:
         assert rc == EXIT_OK
         residuals = read_csv(tmp_path / "pdr_residuals.csv")
         assert all(abs(float(r["residual"])) < 1e-9 for r in residuals)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        self.write_samples(src, 0.0013, noise=0.05)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        rates = []
+        for path in (src, bom):
+            assert main(["fit-pdr", "--input", str(path), "--out", str(tmp_path / path.stem)]) == EXIT_OK
+            rates.append(capsys.readouterr().out.splitlines()[0])
+        assert rates[0] == rates[1] and rates[0].startswith("lambda = ")
 
     def test_zero_pdr_row_is_config_error(self, tmp_path):
         src = tmp_path / "samples.csv"
