@@ -187,22 +187,22 @@ def burst_length_pmf(p: float, xi: float | None, m: int) -> float:
     form does not sum to one over all m; consumers normalize over the range
     they average on.
     """
-    return _burst_law(p, xi, m)(m)
-
-
-def burst_length_weights(p: float, xi: float | None, F: int) -> list[float]:
-    """``burst_length_pmf(p, xi, m)`` for m = 0..F, the inputs checked once."""
-    return list(map(_burst_law(p, xi, F), range(F + 1)))
-
-
-def _burst_law(p: float, xi: float | None, m: int):
-    """The law as a function of the burst length k <= m, its inputs checked."""
     if not (0 <= p <= 1):
         raise ValueError("delivery probability must be in [0, 1]")
     if m < 0:
         raise ValueError("burst length must be nonnegative")
-    if xi is None:
-        return lambda k: (1.0 - p) ** k * p
-    if not (0 <= xi < 1):
+    if xi is not None and not (0 <= xi < 1):
         raise ValueError("xi must be in [0, 1)")
-    return lambda k: p if k == 0 else (1.0 - p) * p * xi ** (k - 1)
+    return _burst_pmf(p, xi, m)
+
+
+def burst_length_weights(p: float, xi: float | None, F: int) -> list[float]:
+    """``burst_length_pmf(p, xi, m)`` for m = 0..F; the call for m = F checks the inputs."""
+    last = burst_length_pmf(p, xi, F)
+    return [_burst_pmf(p, xi, m) for m in range(F)] + [last]
+
+
+def _burst_pmf(p: float, xi: float | None, m: int) -> float:
+    if xi is None:
+        return (1.0 - p) ** m * p
+    return p if m == 0 else (1.0 - p) * p * xi ** (m - 1)
