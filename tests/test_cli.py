@@ -219,9 +219,9 @@ class TestMalformedScenario:
         obj = _parent(data, path + (key,))
         obj["repeat"] = 0
         text = json.dumps(data).replace('"repeat": 0', f'"{key}": {obj[key] + 1}')
-        path = tmp_path / "in.scenario.json"
-        path.write_text(text)
-        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        file = tmp_path / "in.scenario.json"
+        file.write_text(text)
+        rc = main(["simulate", "--scenario", str(file), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert assert_one_line_error(capsys) == f"error: duplicate key {key}\n"
 
