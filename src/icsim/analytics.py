@@ -121,6 +121,10 @@ def monte_carlo_enter_delay(
     normalizes over). The per-burst delay is read off a simulation of the
     actual protocol machine, not the closed form, so the two delay routes
     stay independent.
+
+    The mean and standard error are NumPy's ``mean()`` and ``std(ddof=1) /
+    sqrt(n_trials)`` of the delays, bit for bit, from the same ufunc calls.
+    The CDF ends at exactly 1, so a draw past its rounded sum still gives F.
     """
     if n_trials < 1 or F < 0:
         raise ValueError("need n_trials >= 1 and F >= 0")
@@ -129,10 +133,12 @@ def monte_carlo_enter_delay(
         raise ValueError("zero-delivery channel never completes a round")
     weights = np.array(burst_length_weights(p, xi, F))
     cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0  # every draw u < 1 lands on a burst length <= F
     rng = np.random.default_rng([seed, 2])
     bursts = np.searchsorted(cdf, rng.random(n_trials), side="right")
-    bursts = np.minimum(bursts, F)  # guard the u == 1.0 edge
     delays = _simulated_delay_by_burst(F)[bursts]
-    mean = float(delays.mean())
-    stderr = float(delays.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
-    return mean, stderr
+    mean = float(np.add.reduce(delays)) / n_trials
+    dev = delays - mean
+    np.multiply(dev, dev, out=dev)
+    var = float(np.add.reduce(dev)) / (n_trials - 1) if n_trials > 1 else 0.0
+    return mean, math.sqrt(var) / math.sqrt(n_trials)

@@ -67,12 +67,20 @@ def _distances(args) -> list[float]:
         and args.d_step > 0,
         "need finite 0 <= d_min <= d_max and a positive d_step",
     )
+    # above half the float spacing at the loop's limit, a step advances every d
+    _require(args.d_step > math.ulp(args.d_max + 1e-9) / 2, "d_step is below the float spacing at d_max")
     out = []
     d = args.d_min
     while d <= args.d_max + 1e-9:
         out.append(round(d, 9))
         d += args.d_step
     return out
+
+
+def _require_delivery(distances) -> None:
+    for env, lam in ENVIRONMENTS:
+        for d in distances:
+            _require(pdr(d, lam) > 0, f"the {env} delivery ratio is 0 at {d!r} m")
 
 
 def cmd_simulate(args) -> int:
@@ -111,6 +119,7 @@ def cmd_sweep_delay(args) -> int:
     try:
         _require(min(args.F, args.trials, args.seed) >= 0, "F, trials and seed must be >= 0")
         distances = _distances(args)
+        _require_delivery(distances)
         xi_set = _parse_xi_set(args.xi)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -158,6 +167,7 @@ def cmd_v2v_prob(args) -> int:
             all(math.isfinite(d) and d >= 0 for d in dists),
             "distances must be finite and nonnegative",
         )
+        _require_delivery(dists)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,6 +17,7 @@ seed always produces a byte-identical trace.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -71,6 +72,9 @@ TRACE_COLUMNS = (
     "occupancy",
     "action",
 )
+# one trace.csv line per row: the floats by repr, every other field by str
+_ROW = '%s,%s,%s,%r,%r,%r,%s,"%s","%s","%s",%s,%s\n'
+_MODE_NAME = {m: m.value for m in Mode}
 
 
 class ScenarioError(ValueError):
@@ -281,7 +285,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     rngs: dict[int, np.random.Generator] = {}
     if scenario.channel.uses_rng:
         rngs = {u: np.random.default_rng([scenario.seed, u]) for u in uids}
-    rows: list[SlotRecord] = []
+    rows: list[tuple] = []  # SlotRecord fields, made SlotRecords once at the end
     events: list[tuple[int, int, str]] = []
     violations: list[tuple[int, str, tuple[int, int]]] = []
     crossing_slots = {u: 0 for u in uids}
@@ -339,8 +343,8 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             any_v2v = any_v2v or mode is Mode.V2V_ENTER
             any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
-                rows.append(SlotRecord(
-                    slot, uid, mode.value, veh.x, veh.v, a_eff, veh.proto.f,
+                rows.append((
+                    slot, uid, _MODE_NAME[mode], veh.x, veh.v, a_eff, veh.proto.f,
                     _wire(sent) if (sent := outboxes.get(uid)) else "",
                     _wire(got) if (got := delivered[uid]) else "",
                     _wire(missed) if (missed := lost[uid]) else "",
@@ -362,7 +366,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     summary = _summarize(events, uids, slots_run, violations, mixed_window, crossing_slots)
     return SimTrace(
         scenario=scenario,
-        rows=rows,
+        rows=list(map(functools.partial(tuple.__new__, SlotRecord), rows)),
         events=events,
         summary=summary,
         violations=violations,
@@ -793,13 +797,8 @@ def check_liveness(trace: SimTrace, bound: int) -> dict[int, bool]:
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    text = "".join(
-        f"{r.slot},{r.uid},{r.mode},{r.x!r},{r.v!r},{r.a!r},{r.f},"
-        f'"{r.sent}","{r.received}","{r.lost}",{r.occupancy},{r.action}\n'
-        for r in trace.rows
-    )
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n" + text)
+        fh.write(",".join(TRACE_COLUMNS) + "\n" + "".join(map(_ROW.__mod__, trace.rows)))
 
 
 def write_summary_json(trace: SimTrace, path) -> None:

@@ -18,7 +18,14 @@ from icsim.analytics import (
     monte_carlo_enter_delay,
     v2v_probability,
 )
-from icsim.channel import CorrelatedBurst, DistanceIID, Perfect, pdr
+from icsim.channel import (
+    CorrelatedBurst,
+    DistanceIID,
+    Perfect,
+    Scripted,
+    burst_length_weights,
+    pdr,
+)
 
 
 def brute_force_expected_delay(p, F, xi):
@@ -171,6 +178,46 @@ class TestFitDecayRate:
         assert fit_decay_rate(scaled) == pytest.approx(lam / scale, rel=1e-9)
 
 
+def reference_monte_carlo(model, d, F, n_trials, seed):
+    """The Monte Carlo as NumPy's mean and std methods compute it, over an
+    unpinned CDF whose out-of-range draws are clamped to burst length F."""
+    p, xi = model.burst_law(d)
+    weights = np.array(burst_length_weights(p, xi, F))
+    cdf = np.cumsum(weights / weights.sum())
+    rng = np.random.default_rng([seed, 2])
+    bursts = np.minimum(np.searchsorted(cdf, rng.random(n_trials), side="right"), F)
+    delays = _simulated_delay_by_burst(F)[bursts]
+    mean = float(delays.mean())
+    stderr = float(delays.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
+    return mean, stderr
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class FixedDraws:
+    """A generator stub whose ``random(n)`` returns the given n draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, n):
+        assert n == len(self.draws)
+        return self.draws.copy()
+
+
+channel_models = st.one_of(
+    st.just(Perfect()),
+    st.builds(DistanceIID, st.floats(0, 0.01)),
+    st.builds(CorrelatedBurst, st.floats(0, 0.01), st.floats(0, 1, exclude_max=True)),
+    st.just(Scripted(frozenset({(2, 1)}))),
+)
+
+
 class TestMonteCarloEnterDelay:
     def test_perfect_channel(self):
         assert monte_carlo_enter_delay(Perfect(), 100.0, 30, 1000, 0) == (3.0, 0.0)
@@ -197,6 +244,41 @@ class TestMonteCarloEnterDelay:
         a = monte_carlo_enter_delay(DistanceIID(0.0013), 300.0, 20, 5000, 99)
         b = monte_carlo_enter_delay(DistanceIID(0.0013), 300.0, 20, 5000, 99)
         assert a == b
+
+    @given(
+        model=channel_models,
+        d=st.floats(0, 800),
+        F=st.integers(0, 60),
+        n=st.integers(1, 5000),
+        seed=st.integers(min_value=0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_numpy_mean_and_std(self, model, d, F, n, seed):
+        assert outcome(monte_carlo_enter_delay, model, d, F, n, seed) == outcome(
+            reference_monte_carlo, model, d, F, n, seed
+        )
+
+    @pytest.mark.parametrize(
+        "model,d,F,end",
+        [
+            (DistanceIID(DECAY_OPEN_FIELD), 100.0, 15, -1),
+            (CorrelatedBurst(DECAY_HARSH, 0.7), 500.0, 30, -1),
+            (DistanceIID(DECAY_OPEN_FIELD), 100.0, 2, 1),
+            (DistanceIID(DECAY_OPEN_FIELD), 200.0, 2, 0),
+        ],
+    )
+    def test_edge_draws_match_reference(self, model, d, F, end, monkeypatch):
+        p, xi = model.burst_law(d)
+        weights = np.array(burst_length_weights(p, xi, F))
+        cdf = np.cumsum(weights / weights.sum())
+        assert np.sign(cdf[-1] - 1.0) == end  # the unpinned CDF ends below, above or at 1
+        draws = np.array([0.0, *cdf, np.nextafter(cdf[-1], 0), np.nextafter(1.0, 0)])
+        draws = draws[draws < 1.0]  # random() never returns 1 or more
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws(draws))
+        got = monte_carlo_enter_delay(model, d, F, len(draws), 0)
+        assert got == reference_monte_carlo(model, d, F, len(draws), 0)
+        # below 1, the reference clamps the draws at or past cdf[-1] from F + 1
+        assert np.searchsorted(cdf, draws, side="right").max() == F + (end < 0)
 
     def test_cached_delay_table_is_read_only(self):
         table = _simulated_delay_by_burst(4)

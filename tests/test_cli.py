@@ -335,7 +335,8 @@ class TestSweepDelay:
     @pytest.mark.parametrize(
         "flags",
         [["--xi", "1.5"], ["--F", "-1"], ["--d-min", "-50"], ["--trials", "-3"],
-         ["--d-max", "inf"], ["--seed", "-1", "--trials", "5"]],
+         ["--d-max", "inf"], ["--seed", "-1", "--trials", "5"],
+         ["--d-min", "1e17", "--d-max", "2e17", "--d-step", "1"]],
         ids=" ".join,
     )
     def test_bad_argument_writes_nothing(self, flags, tmp_path, capsys):
@@ -349,6 +350,16 @@ class TestSweepDelay:
             ["sweep-delay", "--out", str(tmp_path), "--d-min", "10", "--d-max", "5"]
         )
         assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command", [["sweep-delay", "--d-max", "1000000", "--d-step", "500000"], ["v2v-prob", "--d", "1000000"]]
+)
+def test_zero_delivery_ratio_is_refused_before_writing(command, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([*command, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "1000000.0 m" in assert_one_line_error(capsys)
 
 
 class TestV2VProb:
