@@ -29,7 +29,7 @@ from .analytics import (
 )
 from .channel import CorrelatedBurst, DistanceIID, pdr
 from .protocol import simulate_enter_round
-from .scenarios import BUNDLED, ScenarioError, resolve_scenario
+from .scenarios import BUNDLED, resolve_scenario
 from .sim import check_safety, run_scenario, write_summary_json, write_trace_csv
 
 EXIT_OK = 0
@@ -77,6 +77,16 @@ def _distances(args) -> list[float]:
     return out
 
 
+def _out_dir(name: str) -> Path:
+    """The ``--out`` directory, made if missing."""
+    out = Path(name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use --out {name}: {exc.strerror or exc}") from exc
+    return out
+
+
 def _require_delivery(distances) -> None:
     for env, lam in ENVIRONMENTS:
         for d in distances:
@@ -90,11 +100,10 @@ def cmd_simulate(args) -> int:
             scenario = replace(scenario, seed=args.seed)
         if args.F is not None:
             scenario = replace(scenario, F=args.F)
-    except ScenarioError as exc:
+        out = _out_dir(args.out)
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace = run_scenario(scenario)
     write_trace_csv(trace, out / "trace.csv")
     write_summary_json(trace, out / "summary.json")
@@ -121,12 +130,10 @@ def cmd_sweep_delay(args) -> int:
         distances = _distances(args)
         _require_delivery(distances)
         xi_set = _parse_xi_set(args.xi)
+        path = _out_dir(args.out) / "delay_curve.csv"
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "delay_curve.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["environment", "xi", "distance_m", "expected_delay_slots"]
@@ -168,12 +175,10 @@ def cmd_v2v_prob(args) -> int:
             "distances must be finite and nonnegative",
         )
         _require_delivery(dists)
+        path = _out_dir(args.out) / "v2v_probability.csv"
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "v2v_probability.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["environment", "distance_m", "xi", "F", "p_v2v"])
@@ -199,12 +204,10 @@ def cmd_fit_pdr(args) -> int:
     try:
         samples = _read_pdr_csv(args.input)
         lam = fit_decay_rate(samples)
+        path = _out_dir(args.out) / "pdr_residuals.csv"
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "pdr_residuals.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["distance_m", "pdr", "model_pdr", "residual"])

@@ -172,8 +172,9 @@ def mean_time_to_intersection(est: VehicleEstimate, x_s: float) -> float:
     """Time for the estimated state to reach ``x_s`` under constant acceleration.
 
     Returns the smallest nonnegative root of ``x_hat + v*t + a*t^2/2 = x_s``,
-    the uniform-motion limit when ``|a|`` is negligible, or ``UNREACHABLE``
-    when the vehicle stops (or recedes) before getting there.
+    the uniform-motion limit when ``|a|`` is negligible (the exact root for
+    a vehicle at rest), or ``UNREACHABLE`` when the vehicle stops (or
+    recedes) before getting there.
 
     Raises ``ValueError`` if the vehicle is already past ``x_s``.
     """
@@ -184,9 +185,9 @@ def mean_time_to_intersection(est: VehicleEstimate, x_s: float) -> float:
         return 0.0
     v, a = est.v, est.a
     if abs(a) < A_TOL:
-        if v <= 0:
-            return UNREACHABLE
-        return dx / v
+        if v > 0:
+            return dx / v
+        return math.sqrt(2.0 * dx / a) if v == 0 and a > 0 else UNREACHABLE
     disc = v * v + 2.0 * a * dx
     if disc < 0:
         return UNREACHABLE  # decelerates to a stop short of x_s

@@ -2,10 +2,10 @@
 
 Three pieces: the sensor-driven main decision (cross / follow / wait /
 switch to V2V), the slotted ENTER consensus that exchanges ENTER and ACK
-messages until every competitor holds the same ENTER set, and the
-sensor-driven wait of a yielding vehicle after the consensus. Transitions
-that read only the vehicle's own state (starting to cross, leaving the
-intersection) belong to the engine.
+messages until every competitor holds the same ENTER set, and the end of a
+yielding vehicle's wait after the consensus (a fresh round, or crossing).
+The wait itself, and the transitions that read only the vehicle's own
+state (starting to cross, leaving the intersection), belong to the engine.
 
 Slot convention: a message sent during slot t is delivered during slot t
 (or lost; late messages are discarded), and the receiver acts on it at slot
@@ -79,9 +79,8 @@ def encode_message(msg: V2VMessage) -> str:
 
 @dataclass
 class SlotIO:
-    """One slot's message traffic and the resulting control action."""
+    """One slot's outgoing messages and the resulting control action."""
 
-    inbox: frozenset[V2VMessage] = frozenset()
     outbox: frozenset[V2VMessage] = frozenset()
     action: Action = Action.NONE
 
@@ -131,7 +130,7 @@ class ProtocolState:
     expected_peers: set[int] = field(default_factory=set)
     own_enter: EnterMessage | None = None
     ack_sent: bool = False
-    resend_next: str = "E"
+    resend_ack: bool = False  # the next failed slot after the ACK resends it
 
     def reset_round(self, peers: set[int], own_enter: EnterMessage) -> None:
         """Start a fresh ENTER round against ``peers``."""
@@ -143,7 +142,7 @@ class ProtocolState:
         self.expected_peers = set(peers)
         self.own_enter = own_enter
         self.ack_sent = False
-        self.resend_next = "E"
+        self.resend_ack = False
 
 
 def planned_tau(snapshot: SensorSnapshot) -> float:
@@ -244,7 +243,7 @@ def enter_step(
         raise ValueError("enter_step requires V2V_ENTER mode")
     state.t += 1
     _absorb(state, inbox)
-    io = SlotIO(inbox=frozenset(inbox))
+    io = SlotIO()
 
     if state.t == 1:
         io.outbox = frozenset({state.own_enter})
@@ -254,17 +253,16 @@ def enter_step(
         if state.expected_peers <= state.known_enters.keys():
             state.ack_sent = True
             state.known_acks.add(state.uid)
-            state.resend_next = "E"
             io.outbox = frozenset({AckMessage(uid=state.uid)})
             return state, io
-        return _register_failure(state, io, resend={"E"})
+        return _register_failure(state, io, state.own_enter)
 
     if state.expected_peers <= state.known_acks:
         io.action = Action.INITIATE_MAINCTRL
         return state, io
-    nxt = state.resend_next
-    state.resend_next = "A" if nxt == "E" else "E"
-    return _register_failure(state, io, resend={nxt})
+    resend = AckMessage(uid=state.uid) if state.resend_ack else state.own_enter
+    state.resend_ack = not state.resend_ack
+    return _register_failure(state, io, resend)
 
 
 def _absorb(state: ProtocolState, inbox) -> None:
@@ -290,48 +288,27 @@ def _absorb(state: ProtocolState, inbox) -> None:
 
 
 def _register_failure(
-    state: ProtocolState, io: SlotIO, resend: set[str]
+    state: ProtocolState, io: SlotIO, resend: V2VMessage
 ) -> tuple[ProtocolState, SlotIO]:
     state.f += 1
     if state.f > state.F:
         state.mode = Mode.SD_FALLBACK
         io.action = Action.SWITCH_TO_SD
         return state, io
-    out: set[V2VMessage] = set()
-    if "E" in resend:
-        out.add(state.own_enter)
-    if "A" in resend:
-        out.add(AckMessage(uid=state.uid))
-    io.outbox = frozenset(out)
+    io.outbox = frozenset({resend})
     return state, io
 
 
-def still_waiting(uid: int, verdict_proceed: frozenset[int], seen) -> bool:
-    """The wait of yielder ``uid``: whether a sensed record in ``seen`` is
-    another car the verdict lets proceed that has not exited. A proceeding
-    car that is not sensed counts as gone; one sitting still with its signal
-    off has abandoned the crossing (sensor fallback)."""
-    for o_uid, _, _, _, _, light, exited, stopped in seen:
-        if o_uid in verdict_proceed and o_uid != uid and not exited and (stopped is None or light):
-            return True
-    return False
+def exit_step(state: ProtocolState, sensed: SensorSnapshot) -> ProtocolState:
+    """End the wait of a yielding vehicle after the main control decision.
 
-
-def exit_step(
-    state: ProtocolState,
-    verdict_proceed: frozenset[int],
-    sensed: SensorSnapshot,
-) -> ProtocolState:
-    """Sensor-based wait of a yielding vehicle after the main control decision.
-
-    It waits until sensing shows every proceeding competitor gone, then
-    either starts a fresh ENTER round against the remaining competitors or,
-    with nobody left, proceeds directly (CROSSING).
+    The engine's wait rule holds the yielder until sensing shows every
+    proceeding competitor gone; then it either starts a fresh ENTER round
+    against the remaining competitors or, with nobody left, proceeds
+    directly (CROSSING).
     """
     if state.mode is not Mode.AWAIT_EXIT:
         raise ValueError("exit_step requires AWAIT_EXIT mode")
-    if still_waiting(state.uid, verdict_proceed, sensed.others):
-        return state
     peers = competitors(sensed)
     if peers:
         state.reset_round(peers, build_enter(sensed))
@@ -446,7 +423,7 @@ def simulate_enter_round(
                     "slot": slot,
                     "uid": uid,
                     "sent": sorted(encode_message(m) for m in io.outbox),
-                    "received": sorted(encode_message(m) for m in io.inbox),
+                    "received": sorted(encode_message(m) for m in pending[uid]),
                     "f": st.f,
                     "action": io.action.value,
                 }

@@ -4,15 +4,14 @@ Each slot runs five phases in a fixed order: sensing, protocol steps,
 message transmission and delivery, control application, and kinematic
 integration. A message sent in slot t is delivered in slot t and acted on
 in slot t+1; anything not delivered in its sending slot is gone. A car
-steps only in a slot that can change it: in an ENTER round, when sensing
-gives it what its step reads, or in the fallback at its line; a crossing or
-going car runs only the exit rule. Delivery runs only when some car sends,
-and nothing is sensed once all cars coast (crossing, done or going in the
-fallback). A waiting car (a yielder, or a fallback car stopped short of its
-line) waits by one exact rule, ``_held``: while a car in sensing range holds
-it by the wait's own test, it neither senses nor steps. A run that records
-no rows stops driving a done car past its path. Identical scenario plus
-seed always produces a byte-identical trace.
+steps only in a slot that can change it: in an ENTER round, or when sensing
+gives it what its step reads (a snapshot, or a fallback car's mark to go);
+a crossing or going car runs only the exit rule. Delivery runs only when
+some car sends. A waiting car (a yielder, or a fallback car stopped short
+of its line) waits by one exact rule, ``_held``: while a car in sensing
+range holds it by the wait's own test, it neither senses nor steps. A run
+that records no rows stops driving a done car past its path. Identical
+scenario plus seed always produces a byte-identical trace.
 """
 
 from __future__ import annotations
@@ -101,10 +100,9 @@ class VehicleSpec:
 _RULES = (
     (("T", "F", "R", "tau_th", "epsilon", "sigma_x", "d_margin", "sensing_radius",
       "resume_accel", "max_slots", "seed"), math.isfinite, "finite"),
-    (("T", "R", "tau_th", "max_slots"), lambda x: x > 0, "positive"),
+    (("T", "R", "tau_th", "resume_accel", "max_slots"), lambda x: x > 0, "positive"),
     (("epsilon",), lambda x: 0 < x < 1, "in (0, 1)"),
-    (("F", "seed", "sigma_x", "d_margin", "sensing_radius", "resume_accel"),
-     lambda x: x >= 0, "nonnegative"),
+    (("F", "seed", "sigma_x", "d_margin", "sensing_radius"), lambda x: x >= 0, "nonnegative"),
 )
 
 
@@ -145,7 +143,8 @@ class Scenario:
                 raise ScenarioError(f"vehicle {v.uid} starts inside the intersection")
             if v.v < 0:
                 raise ScenarioError(f"vehicle {v.uid} has negative initial speed")
-            if v.v <= 0 and v.a <= 0 and self.resume_accel <= 0:
+            # a car regains only its initial speed, so one at rest needs a > 0
+            if v.v <= 0 and v.a <= 0:
                 raise ScenarioError(f"vehicle {v.uid} can never reach the intersection")
             step = v.v * self.T
             if v.v > 0 and (step == 0 or not math.isfinite(self.R / step)):
@@ -293,12 +292,11 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     mixed_window = 0
     slots_run = 0
     idle = dict.fromkeys(uids, _NO_MAIL)
-    coasting = False
 
     for slot in range(1, scenario.max_slots + 1):
         slots_run = slot
         pos: dict[int, tuple[float, float]] = {}  # filled on first use, see _positions
-        snapshots = {} if coasting else _sense(vehicles, scenario, pos)
+        snapshots = _sense(vehicles, scenario, pos)
         outboxes = {}
         actions = {}
         for veh in vehicles.values():
@@ -306,9 +304,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             mode = veh.proto.mode
             if mode is Mode.CROSSING or (mode is Mode.SD_FALLBACK and veh.fallback_go):
                 actions[uid] = _exit_rule(veh, slot, events)
-            elif mode is Mode.V2V_ENTER or uid in snapshots or (
-                mode is Mode.SD_FALLBACK and veh.x >= veh.x_col
-            ):
+            elif mode is Mode.V2V_ENTER or uid in snapshots:
                 snap = snapshots.get(uid)
                 out, actions[uid] = _protocol_phase(veh, snap, scenario, slot, events)
                 if out:
@@ -319,10 +315,10 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             vehicles, outboxes, scenario, rngs, slot, pos
         )
         # modes change only in the protocol phase, so this one pass over the
-        # cars also gives the mixed-mode, all-done and coasting tests
+        # cars also gives the mixed-mode and all-done tests
         holder: dict[str, int] = {}
         any_v2v = any_fall = False
-        all_done = coasting = True
+        all_done = True
         inert = []
         for veh in vehicles.values():
             uid = veh.uid
@@ -338,8 +334,6 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                     holder[cell] = uid
             mode = veh.proto.mode
             all_done = all_done and mode is Mode.DONE
-            # CROSSING, DONE and a going fallback never return to an earlier mode
-            coasting = coasting and (mode is Mode.CROSSING or mode is Mode.DONE or veh.fallback_go)
             any_v2v = any_v2v or mode is Mode.V2V_ENTER
             any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
@@ -388,11 +382,11 @@ def _sense(vehicles, scenario, pos) -> dict:
     yet (it reads the car's own estimate alone), then give exactly the cars
     whose step reads the world this slot what they sense among the cars
     still driven (``vehicles``): a snapshot for a triggered approaching car
-    and for a yielder whose wait has ended. A fallback car stopped short of
-    its line whose turn has come is marked (with None) to go. A waiting car
-    that ``_held`` holds gets nothing. The cars given something step; every
-    other car not in an ENTER round or at its fallback line keeps its
-    control."""
+    and for a yielder whose wait has ended. A fallback car that goes this
+    slot, because it is in the box or stopped short of its line with its
+    turn come, is marked with None. A waiting car that ``_held`` holds gets
+    nothing. The cars given something step; every other car not in an
+    ENTER round keeps its control."""
     x_s = scenario.geometry.x_s
     r2 = scenario.sensing_radius**2
     need = []
@@ -410,13 +404,13 @@ def _sense(vehicles, scenario, pos) -> dict:
         elif m is Mode.AWAIT_EXIT:
             if not _held(veh, vehicles, x_s, r2):
                 need.append(veh)
-        elif m is Mode.SD_FALLBACK and not veh.fallback_go and veh.v == 0.0 and veh.x < veh.x_col:
-            if not _held(veh, vehicles, x_s, r2):
-                out[veh.uid] = None
+        elif m is Mode.SD_FALLBACK and not veh.fallback_go and (
+            veh.x >= veh.x_col or (veh.v == 0.0 and not _held(veh, vehicles, x_s, r2))
+        ):
+            out[veh.uid] = None
     if not need:
         return out
     _positions(pos, vehicles, x_s)
-    sensed: dict[int, SensedVehicle] = {}  # each car as the others see it, built once
     for me in need:
         uid = me.uid
         mx, my = pos[uid]
@@ -426,14 +420,11 @@ def _sense(vehicles, scenario, pos) -> dict:
             dy = my - oy
             if o_uid == uid or dx * dx + dy * dy > r2:
                 continue
-            o = sensed.get(o_uid)
-            if o is None:
-                other = vehicles[o_uid]
-                o = sensed[o_uid] = SensedVehicle(
-                    o_uid, other.route.clane, other.x, abs(x_s - other.x), other.v,
-                    _signalling(other), other.x >= other.exit_x, other.stopped_since,
-                )
-            others.append(o)
+            o = vehicles[o_uid]
+            others.append(SensedVehicle(
+                o_uid, o.route.clane, o.x, abs(x_s - o.x), o.v, _signalling(o),
+                o.x >= o.exit_x, o.stopped_since,
+            ))
         out[uid] = SensorSnapshot(
             me.estimate(), me.route, x_s, me.a_des, scenario.resume_accel,
             scenario.sensing_radius, tuple(others), me.v_des,
@@ -451,8 +442,9 @@ def _held(me: _Vehicle, vehicles, x_s: float, r2: float) -> bool:
     """The wait rule of a yielder or of a fallback car stopped short of its
     line: whether some other car still driven holds it this slot by the
     wait's own test and is in sensing range (``_in_range``). A yielder waits
-    on a car it yielded to that has not exited and is moving or signalling,
-    the test ``exit_step`` runs. A fallback car waits, by four-way-stop
+    on a car it yielded to that has not exited and is moving or signalling;
+    a car it yielded to that sits still with its signal off has abandoned
+    the crossing (sensor fallback). A fallback car waits, by four-way-stop
     etiquette, on a car that has not exited and signals, is in the box, or
     stopped before it (the earlier stop, then the lower uid, goes first)."""
     if me.proto.mode is Mode.AWAIT_EXIT:
@@ -522,16 +514,14 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
         return _v2v_step(veh, scenario, slot, events)
 
     if mode is Mode.AWAIT_EXIT:
-        veh.proto = exit_step(veh.proto, veh.proceed_uids, snap)
+        veh.proto = exit_step(veh.proto, snap)
         if veh.proto.mode is Mode.V2V_ENTER:
             events.append((slot, veh.uid, "REENTER"))
             # hold at the collision boundary until the new round's verdict
             if veh.guard_x is not None:
                 veh.control = ("stop_at", veh.guard_x)
-        elif veh.proto.mode is Mode.CROSSING:
-            _cross(veh, slot, events)
         else:
-            veh.control = ("yield",)
+            _cross(veh, slot, events)
         return _NO_MAIL, ""
 
     # a fallback car here goes: its turn at its line has come, or it already
@@ -686,7 +676,7 @@ def _approach_accel(veh: _Vehicle, target: float, scenario) -> float:
     acceleration is still possible; brake otherwise."""
     T, ra = scenario.T, scenario.resume_accel
     a = _regain_accel(veh, scenario)
-    if a >= 0.0 and ra > 0.0:
+    if a >= 0.0:
         v1 = veh.v + a * T
         x1 = veh.x + veh.v * T + 0.5 * a * T * T
         if v1 * v1 <= 2.0 * ra * (target - x1):

@@ -145,6 +145,10 @@ class TestMalformedScenario:
             (("vehicles", 0, "x"), math.nan),
             (("vehicles", 0, "v"), math.nan),
             (("vehicles", 0, "dx_bound"), -1),
+            # a car stopped at the line could never leave it again
+            (("params", "resume_accel"), 0),
+            # a car at rest that does not accelerate never moves
+            (("vehicles", 0, "v"), 0),
             # subnormal speeds: the trigger's look-ahead R / (v*T) overflows
             (("vehicles", 1, "v"), 1e-320),
             (("vehicles", 1, "v"), 5e-324),
@@ -360,6 +364,21 @@ def test_zero_delivery_ratio_is_refused_before_writing(command, tmp_path, capsys
     assert main([*command, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     assert "1000000.0 m" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--scenario", "fig5b"], ["sweep-delay"], ["v2v-prob"], ["fit-pdr", "--input"]],
+    ids=lambda c: c[0],
+)
+def test_an_out_that_is_a_file_is_a_config_error(command, tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("distance_m,pdr\n100,0.9\n200,0.8\n")
+    if command[-1] == "--input":
+        command = [*command, str(samples)]
+    assert main([*command, "--out", str(samples)]) == EXIT_CONFIG
+    assert "cannot use --out" in assert_one_line_error(capsys)
+    assert samples.read_text() == "distance_m,pdr\n100,0.9\n200,0.8\n"
 
 
 class TestV2VProb:

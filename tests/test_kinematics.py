@@ -48,6 +48,8 @@ class TestMeanTimeToIntersection:
 
     def test_pure_acceleration_from_rest(self):
         assert mean_time_to_intersection(est(0, 0, 2), 100) == pytest.approx(10.0)
+        # below A_TOL a car at rest still gets its exact root, not UNREACHABLE
+        assert mean_time_to_intersection(est(0, 0, 2e-7), 100) == pytest.approx(math.sqrt(1e9))
 
     def test_decelerating_never_arrives(self):
         # discriminant v^2 + 2 a dx = 25 - 400 < 0

@@ -4,8 +4,9 @@ equivalence with the closed-form delay, agreement, fallback containment."""
 import itertools
 
 import pytest
+from test_invariants import still_waiting
 
-from icsim.kinematics import Route, VehicleEstimate
+from icsim.kinematics import IntersectionGeometry, Route, VehicleEstimate
 from icsim.protocol import (
     AckMessage,
     Action,
@@ -22,8 +23,8 @@ from icsim.protocol import (
     planned_tau,
     sd_main_step,
     simulate_enter_round,
-    still_waiting,
 )
+from icsim.sim import VehicleSpec, _held, _Vehicle
 
 
 def burst(uid: int, length: int, start: int = 1) -> set[tuple[int, int]]:
@@ -256,6 +257,19 @@ class TestEnterStepUnit:
         with pytest.raises(ValueError):
             enter_step(st, frozenset())
 
+    def test_failed_slots_resend_enter_then_alternate_after_the_ack(self):
+        peer = EnterMessage(uid=2, clane="H2R", nlane="H4L", tau_mti=9.0)
+        st = self.fresh(F=8)
+        sent = []
+        for inbox in [frozenset()] * 3 + [frozenset({peer})] + [frozenset()] * 5:
+            st, io = enter_step(st, inbox)
+            assert io.action is Action.NONE
+            (msg,) = io.outbox
+            sent.append(msg.msg_type)
+        # the first ENTER, two failures before the ACK, the ACK, then five failures
+        assert sent == ["ENTER"] * 3 + ["ACK", "ENTER", "ACK", "ENTER", "ACK", "ENTER"]
+        assert st.f == 7
+
     def test_ack_from_unknown_uid_not_recorded(self):
         st = self.fresh(peers=(2,))
         st, _ = enter_step(st, frozenset())
@@ -409,7 +423,9 @@ class TestSdMainStep:
 
 
 class TestStillWaiting:
-    """The yielder's wait, over the sensed records of the cars it may wait on."""
+    """The reference for a yielder's wait, over the sensed records of the
+    cars it may wait on; the engine's ``_held`` must agree with it
+    (``test_invariants.TestWaitRule``)."""
 
     def test_a_proceeding_car_in_range_holds_the_yielder(self):
         assert still_waiting(1, frozenset({2}), [sensed(2, "H2R", dist=5.0, light=True)])
@@ -437,20 +453,31 @@ class TestStillWaiting:
         assert still_waiting(1, frozenset({1, 2}), [me, sensed(2, "H2R", dist=5.0, light=True)])
 
 
+def yielder_and_priority_car(mode, v, stopped_since=None):
+    """Whether the engine's wait rule holds car 1, a yielder stopped 75 m
+    short of the centre, while car 2, the car it yielded to, is 5 m short of
+    the centre on the next approach in ``mode``, well within sensing range."""
+    geo = IntersectionGeometry(x_s=200.0, w=3.5)
+    me = _Vehicle(VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=125.0, v=0.0, a=1.0), 8, geo)
+    other = _Vehicle(VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=195.0, v=v, a=1.0), 8, geo)
+    me.proto.mode, me.proceed_uids = Mode.AWAIT_EXIT, frozenset({2})
+    other.proto.mode, other.stopped_since = mode, stopped_since
+    return _held(me, {1: me, 2: other}, geo.x_s, 150.0**2)
+
+
 class TestExitStep:
+    """``exit_step`` ends a yielder's wait; the engine's ``_held`` decides
+    when."""
+
     def test_rejects_a_crossing_vehicle(self):
         # leaving the intersection is the engine's exit rule (test_sim.TestExitRule)
         st = ProtocolState(uid=1, F=8)
         st.mode = Mode.CROSSING
         with pytest.raises(ValueError, match="AWAIT_EXIT"):
-            exit_step(st, frozenset(), make_snapshot(x=204.0))
+            exit_step(st, make_snapshot(x=204.0))
 
     def test_yielder_waits_for_priority_exit(self):
-        st = ProtocolState(uid=1, F=8)
-        st.mode = Mode.AWAIT_EXIT
-        snap = make_snapshot(others=[sensed(2, "H2R", dist=5.0, light=True)])
-        st = exit_step(st, frozenset({2}), snap)
-        assert st.mode is Mode.AWAIT_EXIT
+        assert yielder_and_priority_car(Mode.CROSSING, v=10.0)
 
     def test_yielder_reenters_against_remaining(self):
         st = ProtocolState(uid=1, F=8)
@@ -461,7 +488,7 @@ class TestExitStep:
                 sensed(3, "H3R", dist=40.0),
             ]
         )
-        st = exit_step(st, frozenset({2}), snap)
+        st = exit_step(st, snap)
         assert st.mode is Mode.V2V_ENTER
         assert st.expected_peers == {3}
         assert st.f == 0 and st.t == 0
@@ -470,21 +497,18 @@ class TestExitStep:
         st = ProtocolState(uid=1, F=8)
         st.mode = Mode.AWAIT_EXIT
         snap = make_snapshot(others=[sensed(2, "H2R", dist=8.0, exited=True)])
-        st = exit_step(st, frozenset({2}), snap)
+        st = exit_step(st, snap)
         assert st.mode is Mode.CROSSING
 
     def test_abandoned_priority_car_releases_the_yielder(self):
         # the prioritized car fell back and parked: stopped, signal off
+        assert not yielder_and_priority_car(Mode.SD_FALLBACK, v=0.0, stopped_since=40)
         st = ProtocolState(uid=1, F=8)
         st.mode = Mode.AWAIT_EXIT
         parked = sensed(2, "H2R", dist=4.0, light=False, stopped=40)
-        st = exit_step(st, frozenset({2}), make_snapshot(others=[parked]))
+        st = exit_step(st, make_snapshot(others=[parked]))
         assert st.mode is Mode.V2V_ENTER
         assert st.expected_peers == {2}
 
     def test_stopped_but_signaling_priority_car_still_blocks(self):
-        st = ProtocolState(uid=1, F=8)
-        st.mode = Mode.AWAIT_EXIT
-        queued = sensed(2, "H2R", dist=4.0, light=True, stopped=40)
-        st = exit_step(st, frozenset({2}), make_snapshot(others=[queued]))
-        assert st.mode is Mode.AWAIT_EXIT
+        assert yielder_and_priority_car(Mode.V2V_ENTER, v=0.0, stopped_since=40)

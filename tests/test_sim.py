@@ -335,11 +335,10 @@ class TestExitRule:
             assert xs[done - 1] >= exit_x > xs[done - 2]
 
 
-class TestCoasting:
-    """Once every car is CROSSING, DONE or a going fallback car, a slot runs
-    only the exit rule, the integration and the safety log; what those
-    slots record is unchanged (the figures were pinned before the engine
-    stopped sensing in them)."""
+class TestAfterTheLastStart:
+    """Once every car is CROSSING, DONE or a going fallback car, no car is
+    sensed or steps: a slot runs the exit rule, the integration and the
+    safety log, and what those slots record is unchanged."""
 
     def test_a_done_car_still_in_the_box_counts(self):
         # car 1's estimate runs 5 m ahead, so it is DONE while still in S2;
@@ -355,7 +354,7 @@ class TestCoasting:
         assert trace.events == [
             (43, 1, "CROSS_START"), (50, 1, "EXITED"), (51, 2, "CROSS_START"), (58, 2, "EXITED"),
         ]
-        # every car coasts from slot 52 on
+        # from slot 52 on, every car runs only the exit rule
         assert trace.violations == [(slot, "S2", (1, 2)) for slot in range(50, 54)]
         assert check_safety(trace) == trace.violations
         for uid in (1, 2):
@@ -366,11 +365,11 @@ class TestCoasting:
         assert (lean.violations, lean.summary) == (trace.violations, trace.summary)
 
     @pytest.mark.parametrize("name", ["fig5a", "allloss"])  # crossing / fallback cars
-    def test_budget_ends_while_coasting(self, name):
+    def test_budget_ends_after_the_last_start(self, name):
         full = run_scenario(bundled_scenario(name))
-        coast = max(slot for slot, _, e in full.events if e in ("CROSS_START", "FALLBACK_GO"))
+        start = max(slot for slot, _, e in full.events if e in ("CROSS_START", "FALLBACK_GO"))
         scenario = dataclasses.replace(full.scenario, max_slots=full.slots_run - 1)
-        assert scenario.max_slots > coast
+        assert scenario.max_slots > start
         trace = run_scenario(scenario)
         assert trace.slots_run == scenario.max_slots
         assert not trace.summary["all_done"]
