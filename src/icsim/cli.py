@@ -77,14 +77,22 @@ def _distances(args) -> list[float]:
     return out
 
 
-def _out_dir(name: str) -> Path:
-    """The ``--out`` directory, made if missing."""
+def _out_paths(name: str, *files: str) -> list[Path]:
+    """The paths of ``files`` in the ``--out`` directory, made if missing.
+    Each file is opened for appending once, so one that cannot be written
+    is refused before the command does any work."""
     out = Path(name)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot use --out {name}: {exc.strerror or exc}") from exc
-    return out
+    paths = [out / f for f in files]
+    for path in paths:
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return paths
 
 
 def _require_delivery(distances) -> None:
@@ -100,13 +108,13 @@ def cmd_simulate(args) -> int:
             scenario = replace(scenario, seed=args.seed)
         if args.F is not None:
             scenario = replace(scenario, F=args.F)
-        out = _out_dir(args.out)
+        trace_path, summary_path = _out_paths(args.out, "trace.csv", "summary.json")
     except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     trace = run_scenario(scenario)
-    write_trace_csv(trace, out / "trace.csv")
-    write_summary_json(trace, out / "summary.json")
+    write_trace_csv(trace, trace_path)
+    write_summary_json(trace, summary_path)
     violations = check_safety(trace)
     print(f"slots run: {trace.slots_run}")
     for uid, stats in sorted(trace.summary["vehicles"].items(), key=lambda kv: int(kv[0])):
@@ -130,7 +138,7 @@ def cmd_sweep_delay(args) -> int:
         distances = _distances(args)
         _require_delivery(distances)
         xi_set = _parse_xi_set(args.xi)
-        path = _out_dir(args.out) / "delay_curve.csv"
+        (path,) = _out_paths(args.out, "delay_curve.csv")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -175,7 +183,7 @@ def cmd_v2v_prob(args) -> int:
             "distances must be finite and nonnegative",
         )
         _require_delivery(dists)
-        path = _out_dir(args.out) / "v2v_probability.csv"
+        (path,) = _out_paths(args.out, "v2v_probability.csv")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -204,7 +212,7 @@ def cmd_fit_pdr(args) -> int:
     try:
         samples = _read_pdr_csv(args.input)
         lam = fit_decay_rate(samples)
-        path = _out_dir(args.out) / "pdr_residuals.csv"
+        (path,) = _out_paths(args.out, "pdr_residuals.csv")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

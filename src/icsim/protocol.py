@@ -366,8 +366,6 @@ def simulate_enter_round(
     n_vehicles: int,
     F: int,
     losses: set[tuple[int, int]] | None = None,
-    max_slots: int | None = None,
-    uids: tuple[int, ...] | None = None,
 ) -> EnterRoundResult:
     """Run a bare ENTER round: every vehicle starts in the same slot and a
     ``Scripted`` channel loses exactly the (receiver uid, slot) pairs in
@@ -379,10 +377,8 @@ def simulate_enter_round(
     if F < 0:
         raise ValueError("F must be nonnegative")
     losses = losses or set()
-    if uids is None:
-        uids = tuple(range(1, n_vehicles + 1))
-    if max_slots is None:
-        max_slots = 4 * F + 16
+    uids = tuple(range(1, n_vehicles + 1))
+    max_slots = 4 * F + 16
     lanes = ("H1R", "H2R", "H3R", "H4R")
     exits = ("H3L", "H4L", "H1L", "H2L")
     states: dict[int, ProtocolState] = {}

@@ -52,6 +52,8 @@ from .protocol import (
 #: Gap kept between a stop target and the position actually stopped at.
 STOP_MARGIN = 0.5
 FOLLOW_GAP = 5.0
+#: A speed at or below this is rest: ``_integrate`` stops the car there.
+REST_SPEED = 1e-12
 _CRUISE = ("cruise",)
 _NO_MAIL: frozenset = frozenset()
 # the modes in which a car's signal lights show it competing for the box
@@ -128,6 +130,9 @@ class Scenario:
             for name in names:
                 if not passes(getattr(self, name)):
                     raise ScenarioError(f"{name} must be {what}")
+        # a car that stops (to yield, or at its line) must leave rest again
+        if self.resume_accel * self.T <= REST_SPEED:
+            raise ScenarioError("resume_accel is too small: a stopped car would never move")
         uids = [v.uid for v in self.vehicles]
         if len(set(uids)) != len(uids):
             raise ScenarioError("vehicle uids must be distinct")
@@ -143,8 +148,10 @@ class Scenario:
                 raise ScenarioError(f"vehicle {v.uid} starts inside the intersection")
             if v.v < 0:
                 raise ScenarioError(f"vehicle {v.uid} has negative initial speed")
-            # a car regains only its initial speed, so one at rest needs a > 0
-            if v.v <= 0 and v.a <= 0:
+            # a car regains only its initial speed, and at its own a when a > 0,
+            # so one that stays at rest in its first slot, or in the first slot
+            # after a stop, never moves again
+            if max(v.v, v.v + v.a * self.T) <= REST_SPEED or 0 < v.a * self.T <= REST_SPEED:
                 raise ScenarioError(f"vehicle {v.uid} can never reach the intersection")
             step = v.v * self.T
             if v.v > 0 and (step == 0 or not math.isfinite(self.R / step)):
@@ -703,7 +710,7 @@ def _integrate(veh: _Vehicle, a: float, T: float, slot: int) -> float:
     veh.x += dx
     veh.x_est += dx
     veh.v = 0.0 if stopping else veh.v + a * T
-    if veh.v <= 1e-12:
+    if veh.v <= REST_SPEED:
         veh.v = 0.0
         if veh.stopped_since is None:
             veh.stopped_since = slot

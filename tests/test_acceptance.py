@@ -1,12 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. The exhaustive safety search and the Monte Carlo cross-validation
-are marked ``slow`` but run by default.
+lines. The exhaustive safety search runs each effective loss set once, so
+the whole suite, search included, runs in well under a minute.
 """
 
 import itertools
+import math
+import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -134,7 +137,84 @@ class TestCriterion2ClosedFormEquivalence:
         report(2, f"{checked} (F, burst) cases match min(F, 2*ceil(f/2))+3 exactly")
 
 
-@pytest.mark.slow
+class Asked:
+    """A channel that answers as ``scripted`` and records, in the order asked,
+    each (receiver, slot) of the loss window that the engine asks it about.
+    ``sample_delivery`` asks only for a listening receiver with a sender in
+    range, so a scripted loss at any other position has no effect."""
+
+    uses_rng = False
+
+    def __init__(self, scripted: Scripted, window: range):
+        self.scripted = scripted
+        self.window = window
+        self.asked: list[tuple[int, int]] = []
+
+    def delivers(self, receiver, slot, links, prior_lost, rng):
+        if slot in self.window:
+            self.asked.append((receiver, slot))
+        return self.scripted.delivers(receiver, slot, links, prior_lost, rng)
+
+
+def loss_window(F) -> range:
+    """The slots in which the search places losses: F+5 slots from slot 2."""
+    return range(2, F + 7)
+
+
+def run_asked(routes, losses, F):
+    """The unrecorded run of ``losses`` and the positions of the loss window
+    that its engine asked about, in (slot, uid) order."""
+    channel = Asked(Scripted(losses=frozenset(losses)), loss_window(F))
+    scenario = replace(search_scenario(routes, (), F), channel=channel)
+    return run_scenario(scenario, record=False), channel.asked
+
+
+def effective_runs(routes, F, max_losses):
+    """Yield ``(losses, trace)`` once per effective loss set of at most
+    ``max_losses`` losses in the loss window: a set whose every loss hits a
+    receiver the engine asked about. Depth first from the empty set, each
+    run from slot 1; a set's children add one position its run asked about
+    after its last loss in (slot, uid) order. A slot's answers reach the
+    cars only in the next slot, so which positions of a slot are asked does
+    not depend on the answers given in it. A raw pattern's effective set is
+    the part of it that its run asked about, and the two runs are the same,
+    since they agree up to every loss that takes effect."""
+    stack = [()]
+    while stack:
+        losses = stack.pop()
+        trace, asked = run_asked(routes, losses, F)
+        yield losses, trace
+        if len(losses) < max_losses:
+            last = losses[-1][::-1] if losses else (0, 0)
+            stack.extend(losses + (p,) for p in asked if p[::-1] > last)
+
+
+def raw_pattern_count(n_uids, F, max_losses) -> int:
+    """How many patterns ``loss_patterns`` gives for one block."""
+    positions = n_uids * len(loss_window(F))
+    return sum(math.comb(positions, k) for k in range(max_losses + 1))
+
+
+REPRESENTATIVE = (route_for(0, 2), route_for(1, 2), route_for(2, 2))
+
+
+def two_car_blocks() -> list:
+    """(routes, F, max_losses) of the two-car search: every conflicting pair
+    with up to 4 losses."""
+    return [(routes, F, 4) for F in (2, 3) for routes in conflicting_pairs()]
+
+
+def three_car_blocks() -> list:
+    """(routes, F, max_losses) of the three-car search: every conflicting
+    triple with up to 2 losses, then one representative triple with up to 4."""
+    blocks = [(routes, F, 2) for F in (2, 3) for routes in conflicting_triples()]
+    return blocks + [(REPRESENTATIVE, 3, 4)]
+
+
+def outcome(trace) -> tuple:
+    return trace.events, trace.summary, trace.violations, trace.slots_run
+
+
 class TestCriterion3And4SafetySearch:
     """Exhaustive small-model safety search.
 
@@ -148,14 +228,26 @@ class TestCriterion3And4SafetySearch:
     second-round burst probe. Losses landing in a later round face the same
     machine with fresh counters, which the first-round enumeration already
     covers; the probe spot-checks that argument.
+
+    Each raw pattern is covered by one run of its effective loss set, the
+    losses that hit a receiver with a message in flight (``effective_runs``);
+    ``test_raw_patterns_run_as_their_effective_sets`` checks that on a
+    seeded sample of raw patterns.
     """
 
-    def _run_one(self, routes, losses, F, stats, window_end):
-        scenario = search_scenario(routes, losses, F)
-        trace = run_scenario(scenario, record=False)
+    def _search(self, blocks) -> dict:
+        stats = {"raw": 0, "runs": 0, "fallback_traces": 0, "last_resolution": 0}
+        for routes, F, max_losses in blocks:
+            stats["raw"] += raw_pattern_count(len(routes), F, max_losses)
+            for losses, trace in effective_runs(routes, F, max_losses):
+                self._check(routes, losses, F, trace, stats)
+        return stats
+
+    def _check(self, routes, losses, F, trace, stats):
         assert not trace.violations, (routes, losses, F, trace.violations)
         assert trace.summary["all_done"], (routes, losses, F, "liveness")
         # no vehicle is still exchanging when the loss window closes
+        window_end = loss_window(F)[-1]
         exchanging = {}
         for slot, uid, name in trace.events:
             if slot > window_end:
@@ -177,16 +269,12 @@ class TestCriterion3And4SafetySearch:
 
     def test_two_vehicle_exhaustive(self):
         pairs = conflicting_pairs()
-        stats = {"runs": 0, "fallback_traces": 0, "last_resolution": 0}
-        for F in (2, 3):
-            window = F + 5
-            for routes in pairs:
-                for pattern in loss_patterns((1, 2), 2, window, 4):
-                    self._run_one(routes, set(pattern), F, stats, 2 + window - 1)
+        stats = self._search(two_car_blocks())
         report(
             3,
-            f"two-vehicle search: {stats['runs']} runs over {len(pairs)} "
-            f"conflicting pairs, zero co-occupancy violations, every first "
+            f"two-vehicle search: {stats['raw']} raw loss patterns over "
+            f"{len(pairs)} conflicting pairs in {stats['runs']} runs, one per "
+            f"effective loss set, zero co-occupancy violations, every first "
             f"round resolved by slot F+{stats['last_resolution']}",
         )
         report(
@@ -197,28 +285,44 @@ class TestCriterion3And4SafetySearch:
 
     def test_three_vehicle_search(self):
         triples = conflicting_triples()
-        stats = {"runs": 0, "fallback_traces": 0, "last_resolution": 0}
-        for F in (2, 3):
-            window = F + 5
-            for routes in triples:
-                for pattern in loss_patterns((1, 2, 3), 2, window, 2):
-                    self._run_one(routes, set(pattern), F, stats, 2 + window - 1)
-        # one representative triple gets the full four-loss treatment
-        routes = (route_for(0, 2), route_for(1, 2), route_for(2, 2))
-        F = 3
-        window = F + 5
-        for pattern in loss_patterns((1, 2, 3), 2, window, 4):
-            self._run_one(routes, set(pattern), F, stats, 2 + window - 1)
+        stats = self._search(three_car_blocks())
         report(
             3,
-            f"three-vehicle search: {stats['runs']} runs over {len(triples)} "
-            f"conflicting triples, zero co-occupancy violations, every first "
-            f"round resolved by slot F+{stats['last_resolution']}",
+            f"three-vehicle search: {stats['raw']} raw loss patterns over "
+            f"{len(triples)} conflicting triples in {stats['runs']} runs, one "
+            f"per effective loss set, zero co-occupancy violations, every "
+            f"first round resolved by slot F+{stats['last_resolution']}",
+        )
+
+    def test_raw_patterns_run_as_their_effective_sets(self):
+        # a seeded sample of blocks of every kind, and of raw patterns in each
+        rng = random.Random(15)
+        three = three_car_blocks()
+        blocks = [*rng.sample(two_car_blocks(), 10), *rng.sample(three[:-1], 10), three[-1]]
+        sampled = 0
+        for routes, F, max_losses in blocks:
+            ran = {
+                frozenset(losses): outcome(trace)
+                for losses, trace in effective_runs(routes, F, max_losses)
+            }
+            uids = range(1, len(routes) + 1)
+            patterns = list(loss_patterns(uids, 2, len(loss_window(F)), max_losses))
+            for pattern in rng.sample(patterns, 48):
+                plain = run_scenario(search_scenario(routes, set(pattern), F), record=False)
+                trace, asked = run_asked(routes, pattern, F)
+                effective = frozenset(pattern) & frozenset(asked)
+                assert effective in ran, (routes, pattern, F)
+                assert outcome(plain) == outcome(trace) == ran[effective], (routes, pattern, F)
+                sampled += 1
+        report(
+            3,
+            f"{sampled} sampled raw loss patterns run as their effective "
+            f"sets, each of which the search runs",
         )
 
     def test_second_round_burst_probe(self):
         # bursts anchored at the second round's first exchange
-        routes = (route_for(0, 2), route_for(1, 2), route_for(2, 2))
+        routes = REPRESENTATIVE
         clean = run_scenario(search_scenario(routes, set(), 3))
         reenter = [s for s, _, name in clean.events if name == "REENTER"]
         assert reenter, "scenario must produce a second round"
@@ -234,7 +338,6 @@ class TestCriterion3And4SafetySearch:
         report(3, f"second-round burst probe: {count} runs safe and live")
 
 
-@pytest.mark.slow
 class TestCriterion5MonteCarloCrossValidation:
     def test_analytic_matches_simulation(self):
         F = 30

@@ -248,7 +248,6 @@ class TestBurstLengthPmf:
         else:
             assert len(burst_length_weights(p, xi, F)) == F + 1
 
-    @pytest.mark.slow
     def test_empirical_burst_histogram_iid(self):
         # run one receiver for >= 1e6 slots and compare burst-length counts
         # against the geometric law, bin by bin, within 3 sigma

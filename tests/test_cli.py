@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icsim.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
+from icsim.cli import EXIT_CONFIG, EXIT_LIVENESS, EXIT_OK, build_parser, main
 from icsim.scenarios import bundled_scenario, resolve_scenario, scenario_to_dict
 from icsim.sim import run_scenario, write_trace_csv
 
@@ -379,6 +379,56 @@ def test_an_out_that_is_a_file_is_a_config_error(command, tmp_path, capsys):
     assert main([*command, "--out", str(samples)]) == EXIT_CONFIG
     assert "cannot use --out" in assert_one_line_error(capsys)
     assert samples.read_text() == "distance_m,pdr\n100,0.9\n200,0.8\n"
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (["simulate", "--scenario", "fig5b"], "summary.json"),
+        (["sweep-delay"], "delay_curve.csv"),
+        (["v2v-prob"], "v2v_probability.csv"),
+        (["fit-pdr", "--input"], "pdr_residuals.csv"),
+    ],
+    ids=lambda c: c[0] if isinstance(c, list) else c,
+)
+def test_a_directory_at_an_output_name_is_a_config_error(command, name, tmp_path, capsys, monkeypatch):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("distance_m,pdr\n100,0.9\n200,0.8\n")
+    if command[-1] == "--input":
+        command = [*command, str(samples)]
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    # simulate refuses its outputs before it runs the scenario
+    monkeypatch.setattr("icsim.cli.run_scenario", None)
+    assert main([*command, "--out", str(out)]) == EXIT_CONFIG
+    assert f"cannot write {out / name}: Is a directory" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "name,changes",
+    [
+        # a car at rest whose first slot leaves it at or below the rest speed
+        ("fig5b", {("vehicles", 0, "v"): 0, ("vehicles", 0, "a"): 1e-12}),
+        ("fig5b", {("vehicles", 0, "v"): 1e-13, ("vehicles", 0, "a"): 0}),
+        # a car stopped at its line would regain no more than the rest speed
+        ("allloss", {("params", "resume_accel"): 1e-12}),
+        ("allloss", {("vehicles", 0, "a"): 1e-12}),
+    ],
+    ids=repr,
+)
+def test_a_car_that_can_never_move_is_refused(name, changes, tmp_path, capsys):
+    data = scenario_to_dict(bundled_scenario(name))
+    for path, value in changes.items():
+        _parent(data, path)[path[-1]] = value
+    assert run_simulate(data, tmp_path) == EXIT_CONFIG
+    assert_one_line_error(capsys)
+
+
+def test_a_car_that_moves_too_slowly_is_a_liveness_failure(tmp_path, capsys):
+    data = scenario_to_dict(bundled_scenario("allloss"))
+    data["params"]["resume_accel"] = 1e-10  # moves, but not within max_slots
+    assert run_simulate(data, tmp_path) == EXIT_LIVENESS
+    assert "liveness failure" in capsys.readouterr().err
 
 
 class TestV2VProb:
