@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelModel, burst_length_pmf, burst_length_weights
-from .protocol import closed_form_enter_delay, simulate_enter_round
+from .protocol import burst_resolution_slots, closed_form_enter_delay
 
 #: Fitted delivery-ratio decay rates per environment, 1/m.
 DECAY_OPEN_FIELD = 0.00063
@@ -95,12 +95,12 @@ def fit_decay_rate(samples: list[PdrSample]) -> float:
 @lru_cache(maxsize=None)
 def _simulated_delay_by_burst(F: int) -> np.ndarray:
     """Resolution delay of the two-vehicle round per burst length 0..F,
-    measured on the actual protocol machine, as a read-only float array."""
-    delays = []
-    for m in range(F + 1):
-        res = simulate_enter_round(2, F=F, losses={(2, s) for s in range(1, m + 1)})
-        delays.append(res.resolution_slot())
-    table = np.array(delays, dtype=float)
+    measured on the actual protocol machine, as a read-only float array.
+
+    The entries come from one lossy round forked after each slot
+    (``burst_resolution_slots``), so building the table takes time linear
+    in F. This cache is the table's only one."""
+    table = np.array(burst_resolution_slots(F), dtype=float)
     table.flags.writeable = False
     return table
 
@@ -120,7 +120,8 @@ def monte_carlo_enter_delay(
     not exceeding ``F`` (the same truncation the closed-form average
     normalizes over). The per-burst delay is read off a simulation of the
     actual protocol machine, not the closed form, so the two delay routes
-    stay independent.
+    stay independent: ``_simulated_delay_by_burst``, built once per F from
+    one forked lossy round.
 
     The mean and standard error are NumPy's ``mean()`` and ``std(ddof=1) /
     sqrt(n_trials)`` of the delays, bit for bit, from the same ufunc calls.

@@ -132,6 +132,16 @@ class ProtocolState:
     ack_sent: bool = False
     resend_ack: bool = False  # the next failed slot after the ACK resends it
 
+    def fork(self) -> ProtocolState:
+        """A copy that shares the frozen messages but none of the mutable
+        dicts and sets."""
+        return replace(
+            self,
+            known_enters=dict(self.known_enters),
+            known_acks=set(self.known_acks),
+            expected_peers=set(self.expected_peers),
+        )
+
     def reset_round(self, peers: set[int], own_enter: EnterMessage) -> None:
         """Start a fresh ENTER round against ``peers``."""
         self.mode = Mode.V2V_ENTER
@@ -335,12 +345,19 @@ def closed_form_enter_delay(F: int, failures: dict[int, int]) -> int:
 
 @dataclass
 class EnterRoundResult:
-    """Outcome of a pure ENTER-round simulation."""
+    """State and outcome of a pure ENTER-round simulation.
+
+    ``pending`` holds each vehicle's inbox for the next slot and ``slot``
+    the last slot run, so ``_run_slots`` can resume a round or a ``fork``
+    of it.
+    """
 
     mainctrl_slot: dict[int, int | None]
     fallback_slot: dict[int, int | None]
     final_states: dict[int, ProtocolState]
     log: list[dict]  # one entry per (slot, uid): sends/receives/f
+    pending: dict[int, frozenset] = field(default_factory=dict)
+    slot: int = 0
 
     def resolution_slot(self) -> int | None:
         """First slot at which any vehicle commits to a crossing regime.
@@ -361,24 +378,25 @@ class EnterRoundResult:
         slots = set(self.mainctrl_slot.values())
         return len(slots) == 1 and None not in slots
 
+    def fork(self) -> EnterRoundResult:
+        """An unlogged copy of the round that resumes independently of it:
+        the states' dicts and sets are copied, their frozen messages shared."""
+        return EnterRoundResult(
+            mainctrl_slot=dict(self.mainctrl_slot),
+            fallback_slot=dict(self.fallback_slot),
+            final_states={u: st.fork() for u, st in self.final_states.items()},
+            log=[],
+            pending=dict(self.pending),
+            slot=self.slot,
+        )
 
-def simulate_enter_round(
-    n_vehicles: int,
-    F: int,
-    losses: set[tuple[int, int]] | None = None,
-) -> EnterRoundResult:
-    """Run a bare ENTER round: every vehicle starts in the same slot and a
-    ``Scripted`` channel loses exactly the (receiver uid, slot) pairs in
-    ``losses``, delivered by the engine's own ``sample_delivery``.
 
-    Slots count from 1 (the first ENTER transmission). Message content is
-    synthetic; only the exchange dynamics matter here.
-    """
+def _start_round(n_vehicles: int, F: int) -> EnterRoundResult:
+    """Vehicles 1..n, each in slot 0 of an ENTER round against all others,
+    with synthetic ENTER content; only the exchange dynamics matter here."""
     if F < 0:
         raise ValueError("F must be nonnegative")
-    losses = losses or set()
     uids = tuple(range(1, n_vehicles + 1))
-    max_slots = 4 * F + 16
     lanes = ("H1R", "H2R", "H3R", "H4R")
     exits = ("H3L", "H4L", "H1L", "H2L")
     states: dict[int, ProtocolState] = {}
@@ -394,14 +412,23 @@ def simulate_enter_round(
             ),
         )
         states[uid] = st
+    return EnterRoundResult(
+        mainctrl_slot={u: None for u in uids},
+        fallback_slot={u: None for u in uids},
+        final_states=states,
+        log=[],
+        pending={u: frozenset() for u in uids},
+    )
 
-    channel = Scripted(losses=frozenset(losses))
-    mainctrl: dict[int, int | None] = {u: None for u in uids}
-    fallback: dict[int, int | None] = {u: None for u in uids}
-    log: list[dict] = []
-    pending: dict[int, frozenset] = {u: frozenset() for u in uids}
 
-    for slot in range(1, max_slots + 1):
+def _run_slots(res: EnterRoundResult, channel, last: int, logged: bool = False) -> None:
+    """Resume ``res`` after its last slot and run it through slot ``last``,
+    or until no vehicle is left in V2V_ENTER; ``channel`` delivers each
+    slot's messages through the engine's own ``sample_delivery``."""
+    states, pending = res.final_states, res.pending
+    uids = tuple(states)
+    while res.slot < last:
+        res.slot = slot = res.slot + 1
         outboxes: dict[int, frozenset] = {}
         for uid in uids:
             st = states[uid]
@@ -410,20 +437,21 @@ def simulate_enter_round(
             st, io = enter_step(st, pending[uid])
             outboxes[uid] = io.outbox
             if io.action is Action.INITIATE_MAINCTRL:
-                mainctrl[uid] = slot
+                res.mainctrl_slot[uid] = slot
                 st.mode = Mode.CROSSING
             elif io.action is Action.SWITCH_TO_SD:
-                fallback[uid] = slot
-            log.append(
-                {
-                    "slot": slot,
-                    "uid": uid,
-                    "sent": sorted(encode_message(m) for m in io.outbox),
-                    "received": sorted(encode_message(m) for m in pending[uid]),
-                    "f": st.f,
-                    "action": io.action.value,
-                }
-            )
+                res.fallback_slot[uid] = slot
+            if logged:
+                res.log.append(
+                    {
+                        "slot": slot,
+                        "uid": uid,
+                        "sent": sorted(encode_message(m) for m in io.outbox),
+                        "received": sorted(encode_message(m) for m in pending[uid]),
+                        "f": st.f,
+                        "action": io.action.value,
+                    }
+                )
         for uid in uids:
             if states[uid].mode is Mode.V2V_ENTER:
                 links = [(sender, 0.0) for sender in outboxes if sender != uid]
@@ -432,9 +460,41 @@ def simulate_enter_round(
         if all(states[u].mode is not Mode.V2V_ENTER for u in uids):
             break
 
-    return EnterRoundResult(
-        mainctrl_slot=mainctrl,
-        fallback_slot=fallback,
-        final_states=states,
-        log=log,
-    )
+
+def simulate_enter_round(
+    n_vehicles: int,
+    F: int,
+    losses: set[tuple[int, int]] | None = None,
+) -> EnterRoundResult:
+    """Run a bare ENTER round, logged: every vehicle starts in the same slot
+    and a ``Scripted`` channel loses exactly the (receiver uid, slot) pairs
+    in ``losses``. The round runs until it resolves or for ``4*F + 16``
+    slots.
+
+    Slots count from 1 (the first ENTER transmission). Message content is
+    synthetic; only the exchange dynamics matter here.
+    """
+    res = _start_round(n_vehicles, F)
+    _run_slots(res, Scripted(losses=frozenset(losses or ())), 4 * F + 16, logged=True)
+    return res
+
+
+def burst_resolution_slots(F: int) -> list[int | None]:
+    """``simulate_enter_round(2, F, {(2, s) for s in 1..m}).resolution_slot()``
+    for each burst length m in 0..F, from one shared lossy round.
+
+    Receiver 2 loses every slot of that round. After each slot m a fork of
+    it runs on with no further losses until it resolves, which is entry m.
+    Forks resolve within a few slots of the fork point, so the work is
+    linear in F, not quadratic.
+    """
+    res = _start_round(2, F)
+    lossy, lossless = Scripted(all_lost=frozenset({2})), Scripted()
+    last = 4 * F + 16
+    table = []
+    for m in range(F + 1):
+        _run_slots(res, lossy, m)
+        fork = res.fork()
+        _run_slots(fork, lossless, last)
+        table.append(fork.resolution_slot())
+    return table

@@ -251,7 +251,9 @@ class _Vehicle:
         self.x = spec.x
         self.x_est = spec.est_x
         self.v = spec.v
-        self.v_des = spec.v  # speed to recover after braking episodes
+        # speed to recover after braking episodes; a car that speeds up
+        # (a > 0) has no cruise speed, and planned_tau ignores v_des for it
+        self.v_des = spec.v if spec.a <= 0.0 else math.inf
         self.a_des = spec.a
         self.proto = ProtocolState(uid=spec.uid, F=F)
         self.control = ("cruise",)

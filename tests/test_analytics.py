@@ -12,9 +12,10 @@ from icsim.analytics import (
     DECAY_HARSH,
     DECAY_OPEN_FIELD,
     PdrSample,
+    _closed_form_delay_by_burst,
+    _simulated_delay_by_burst,
     expected_enter_delay,
     fit_decay_rate,
-    _simulated_delay_by_burst,
     monte_carlo_enter_delay,
     v2v_probability,
 )
@@ -26,6 +27,7 @@ from icsim.channel import (
     burst_length_weights,
     pdr,
 )
+from icsim.protocol import enter_step, simulate_enter_round
 
 
 def brute_force_expected_delay(p, F, xi):
@@ -286,6 +288,48 @@ class TestMonteCarloEnterDelay:
             table[0] = 99.0
         assert _simulated_delay_by_burst(4) is table
         assert table.tolist() == [3.0, 5.0, 5.0, 7.0, 7.0]
+
+
+class TestDelayTable:
+    """``_simulated_delay_by_burst`` forks one lossy round after each slot;
+    it must give what one round per burst length gives, at linear cost."""
+
+    @staticmethod
+    def one_round_per_burst(F):
+        return [
+            simulate_enter_round(2, F=F, losses={(2, s) for s in range(1, m + 1)}).resolution_slot()
+            for m in range(F + 1)
+        ]
+
+    @pytest.mark.parametrize("F", range(41))
+    def test_equals_one_round_per_burst(self, F):
+        assert _simulated_delay_by_burst(F).tolist() == self.one_round_per_burst(F)
+
+    @pytest.mark.parametrize("F", range(61))
+    def test_equals_the_closed_form(self, F):
+        assert _simulated_delay_by_burst(F).tolist() == list(_closed_form_delay_by_burst(F))
+
+    def test_cache_clear_rebuilds_an_equal_table(self):
+        table = _simulated_delay_by_burst(12)
+        _simulated_delay_by_burst.cache_clear()
+        rebuilt = _simulated_delay_by_burst(12)
+        assert rebuilt is not table
+        assert np.array_equal(rebuilt, table)
+
+    def test_cost_is_linear_in_F(self, monkeypatch):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return enter_step(*args)
+
+        monkeypatch.setattr("icsim.protocol.enter_step", counted)
+        _simulated_delay_by_burst.cache_clear()
+        F = 200
+        _simulated_delay_by_burst(F)
+        # one round per burst length made 41,606 calls here
+        assert 0 < calls <= 10 * (F + 1)
 
 
 class TestDelayCurve:

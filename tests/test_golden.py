@@ -6,8 +6,9 @@ bundled scenarios, every file under ``tests/scenarios`` and a few seeded
 scenarios on the random channels, whose outputs depend on the order of the
 channel's random draws. ``monte_carlo_enter_delay`` is pinned for each
 channel model that has a burst law; the ``sweep-delay`` (with Monte Carlo
-columns) and ``v2v-prob`` CSVs by their sha256; and ``expected_enter_delay``
-and ``v2v_probability`` by exact value on a grid of F, xi and distance.
+columns) and ``v2v-prob`` CSVs and the ``diagram`` tables by their sha256;
+and ``expected_enter_delay`` and ``v2v_probability`` by exact value on a
+grid of F, xi and distance.
 
 A refactor must leave every value here unchanged. The digests change only in
 a change that alters behaviour on purpose and says so in CHANGES.md.
@@ -61,6 +62,7 @@ DIGESTS = {
     "fallback_creep": (0, "1b2987f1a09848193dfd519ae9596a67624ba5bb8f7d30b41b9d50ec8945ade5"),
     "fallback_overshoot": (0, "43fe963d4a5ae5ba4407da276fb9d2afe3a7df74eb5c218b155cd3d75628e2dd"),
     "second_round_burst": (0, "54674a6c8f9e83b1f0e19dabc706e43842a8d045826171f77c0b0d1f75ed0f54"),
+    "rest_start": (0, "37e6f07702bb3ac1406bb31ed27fffd04e4cd12d890687796295d215df0312af"),
     "fault_late_joiner": (2, "2c4f2aaae74ee7af4557d0baa493d0cef977f34f862eddede2c61322a7d4916c"),
     "fault_priority_min": (2, "87b4a215c624563137dc135068845623716c51f6f1deab51fb2baf2fc5ee84e1"),
     "fault_split_view": (3, "c0370d0181dcc5917d21afbb8a0dc9da2dcefa6680a28c94b4507cf96c0b4daa"),
@@ -96,6 +98,12 @@ CURVE_CSVS = {
         "v2v_probability.csv",
         "b6429f32976ce6f4b94a29e742fe5393b9867152bc78768387b0a6526fc4a5e2",
     ),
+}
+
+# ``icsim diagram`` arguments: sha256 of its standard output
+DIAGRAMS = {
+    (): "41162b9d750b3f2d387adfd1ede7a8dc20704a2d7e875587f5c5873513f4d495",  # F = 8
+    ("--F", "2"): "d623859d68318c8ddecd5e46202c207b28c8bfcf66f4094a199bfe29af483ee3",
 }
 
 # (F, xi, d) at the harsh decay rate: (expected_enter_delay, v2v_probability)
@@ -193,6 +201,12 @@ def test_curve_csvs_unchanged(command, tmp_path, capsys):
     args, name, digest = CURVE_CSVS[command]
     assert main([command, "--out", str(tmp_path), *args]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", sorted(DIAGRAMS))
+def test_diagram_output_unchanged(args, capsys):
+    assert main(["diagram", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DIAGRAMS[args]
 
 
 @pytest.mark.parametrize("key", sorted(ANALYTICS, key=repr))

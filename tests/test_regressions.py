@@ -1,9 +1,10 @@
-"""Replays of counterexamples found by the exhaustive safety search.
+"""Replays of counterexamples, most of them found by the exhaustive safety
+search.
 
-Each ``CASES`` file under ``tests/scenarios`` is a search run (vehicles at
-180, 178, 176 m and 10 m/s, scripted losses, 250 slots) that once ended in a
-safety violation or a stall. ``icsim simulate`` must now finish every one of
-them with exit code 0.
+Each ``CASES`` file under ``tests/scenarios`` is a run that once ended in a
+safety violation or a stall: a search run (vehicles at 180, 178, 176 m and
+10 m/s, scripted losses, 250 slots), or ``rest_start``. ``icsim simulate``
+must now finish every one of them with exit code 0.
 
 The ``FAULTS`` files replay protocol faults that are not fixed yet. Each is
 a strict expected failure, so the fix that makes one pass must also move it
@@ -31,6 +32,9 @@ CASES = {
     # H1R->H3L / H2R->H4L / H3R->H1L, F=3, a 3-slot burst on vehicle 2 at
     # the second round's first exchange: the same slow-approach stall.
     "second_round_burst": "stall",
+    # the bundled allloss with car 1 starting at rest (v 0, a 2): its stop at
+    # the line regained at most its initial speed, 0, so it never got there.
+    "rest_start": "stall",
 }
 
 
