@@ -5,7 +5,8 @@ suffers a single contiguous burst of slot failures while the other receives
 everything. Averaging the per-burst delay over the burst-length law, with
 bursts beyond the tolerance threshold excluded by normalization, gives the
 expected consensus delay; the complementary tail gives the probability that
-V2V is used at all rather than the sensor fallback.
+V2V is used at all rather than the sensor fallback. NumPy is imported only
+by the functions that sample or fit, when first called.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .channel import ChannelModel, burst_length_pmf, burst_length_weights
 from .protocol import burst_resolution_slots, closed_form_enter_delay
@@ -85,6 +84,7 @@ def fit_decay_rate(samples: list[PdrSample]) -> float:
     """
     if any(s.pdr <= 0 for s in samples):
         raise ValueError("delivery ratios must be positive to fit a decay rate")
+    import numpy as np
     d = np.array([s.distance for s in samples], dtype=float)
     if len(set(d.tolist())) < 2:
         raise ValueError("need samples at two or more distinct distances")
@@ -93,13 +93,14 @@ def fit_decay_rate(samples: list[PdrSample]) -> float:
 
 
 @lru_cache(maxsize=None)
-def _simulated_delay_by_burst(F: int) -> np.ndarray:
+def _simulated_delay_by_burst(F: int) -> "numpy.ndarray":
     """Resolution delay of the two-vehicle round per burst length 0..F,
     measured on the actual protocol machine, as a read-only float array.
 
     The entries come from one lossy round forked after each slot
     (``burst_resolution_slots``), so building the table takes time linear
     in F. This cache is the table's only one."""
+    import numpy as np
     table = np.array(burst_resolution_slots(F), dtype=float)
     table.flags.writeable = False
     return table
@@ -132,6 +133,7 @@ def monte_carlo_enter_delay(
     p, xi = model.burst_law(d)
     if p <= 0:
         raise ValueError("zero-delivery channel never completes a round")
+    import numpy as np
     weights = np.array(burst_length_weights(p, xi, F))
     cdf = np.cumsum(weights / weights.sum())
     cdf[-1] = 1.0  # every draw u < 1 lands on a burst length <= F

@@ -178,10 +178,8 @@ def cmd_v2v_prob(args) -> int:
         xi_set = _parse_xi_set(args.xi)
         _require(args.F_max >= 0, "F must be nonnegative")
         dists = [float(t) for t in args.d.split(",") if t.strip()]
-        _require(
-            all(math.isfinite(d) and d >= 0 for d in dists),
-            "distances must be finite and nonnegative",
-        )
+        _require(dists, "empty distance list")
+        _require(all(math.isfinite(d) and d >= 0 for d in dists), "distances must be finite and nonnegative")
         _require_delivery(dists)
         (path,) = _out_paths(args.out, "v2v_probability.csv")
     except ValueError as exc:

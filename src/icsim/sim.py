@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .channel import ChannelModel, Perfect, sample_delivery
 from .kinematics import (
     IntersectionGeometry,
@@ -73,8 +71,6 @@ TRACE_COLUMNS = (
     "occupancy",
     "action",
 )
-# one trace.csv line per row: the floats by repr, every other field by str
-_ROW = '%s,%s,%s,%r,%r,%r,%s,"%s","%s","%s",%s,%s\n'
 _MODE_NAME = {m: m.value for m in Mode}
 
 
@@ -290,8 +286,9 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     uids = list(vehicles)
     # one named stream per receiver; deterministic and disjoint across
     # vehicles (deterministic channels never touch them)
-    rngs: dict[int, np.random.Generator] = {}
+    rngs = {}
     if scenario.channel.uses_rng:
+        import numpy as np  # loaded by the first run that draws
         rngs = {u: np.random.default_rng([scenario.seed, u]) for u in uids}
     rows: list[tuple] = []  # SlotRecord fields, made SlotRecords once at the end
     events: list[tuple[int, int, str]] = []
@@ -796,8 +793,11 @@ def check_liveness(trace: SimTrace, bound: int) -> dict[int, bool]:
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n" + "".join(map(_ROW.__mod__, trace.rows)))
+    with open(path, "w", newline="") as fh:  # floats by repr; the rest are str or int
+        fh.write(",".join(TRACE_COLUMNS) + "\n" + "".join([
+            f'{s},{u},{m},{x!r},{v!r},{a!r},{f},"{se}","{re}","{lo}",{oc},{ac}\n'
+            for s, u, m, x, v, a, f, se, re, lo, oc, ac in trace.rows
+        ]))
 
 
 def write_summary_json(trace: SimTrace, path) -> None:

@@ -461,7 +461,10 @@ class TestV2VProb:
 
 
     @pytest.mark.parametrize(
-        "flags", [["--xi", "1.5"], ["--d", "-5"], ["--d", "200,nan"]], ids=" ".join
+        "flags",
+        # an empty list would give a header-only CSV
+        [["--xi", "1.5"], ["--d", "-5"], ["--d", "200,nan"], ["--d", ","], ["--d", ""], ["--xi", " , "]],
+        ids=" ".join,
     )
     def test_bad_argument_writes_nothing(self, flags, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """Arrival-time, collision-area, priority, yield, and trigger tests."""
 
+import itertools
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from icsim.kinematics import (
     priority_decision,
     yield_acceleration,
 )
+from test_acceptance import conflicting_pairs
 
 GEO = IntersectionGeometry(x_s=200.0, w=3.5)
 
@@ -323,3 +325,43 @@ class TestEnterTrigger:
         fired_hi = enter_trigger(e, sigma, 150.0, 0.1, 196.5, hi)
         if fired_hi:
             assert enter_trigger(e, sigma, 150.0, 0.1, 196.5, lo)
+
+
+def clashes(entries, tau_th=2.0):
+    """Pairs of cars that both proceed, share a cell of their paths, and
+    arrive within ``tau_th`` of each other: the verdict's own separation
+    rule, checked against the occupancy table, not the collision area."""
+    go = priority_decision(entries, GEO, tau_th).proceeding()
+    return [
+        (i, j)
+        for i, j in itertools.combinations(sorted(go), 2)
+        if set(GEO.occupancy(entries[i][0])) & set(GEO.occupancy(entries[j][0]))
+        and abs(entries[i][1] - entries[j][1]) <= tau_th
+    ]
+
+
+class TestVerdictSoundness:
+    """No two proceeding cars share a cell while their arrival times are
+    within ``tau_th``; engine-free, on the verdict alone."""
+
+    def test_every_conflicting_pair_on_a_quarter_second_grid(self):
+        taus = [k / 4 for k in range(41)]  # 0 to 10 s
+        checked = 0
+        for r1, r2 in conflicting_pairs():
+            for t1, t2 in itertools.product(taus, repeat=2):
+                assert clashes({1: (r1, t1), 2: (r2, t2)}) == [], (r1, r2, t1, t2)
+                checked += 1
+        assert checked == 28_577
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="each car is compared only with the earliest other arrival, so "
+        "cars 2 and 3, 3 s and 3.3 s after car 1, both proceed through S3",
+    )
+    def test_three_cars_that_clear_only_the_earliest(self):
+        entries = {
+            1: (Route("H1R", "H3L"), 5.0),
+            2: (Route("H2R", "H4L"), 8.0),
+            3: (Route("H3R", "H1L"), 8.3),
+        }
+        assert clashes(entries) == []
