@@ -8,7 +8,9 @@ receiver and slot; ``burst_law``, the burst-length parameters the analytics
 average over; its JSON form (``to_dict``, read back through
 ``CHANNEL_TYPES`` by ``from_dict``, which takes the scenario loader's
 number and integer readers); and ``uses_rng``, whether it draws random numbers.
-``sample_delivery`` is the one delivery step of both exchange loops.
+``sample_delivery`` is the one delivery step of both exchange loops, and
+``ReceiverStream`` the per-receiver random stream that the random models
+draw from: NumPy's ``default_rng([seed, uid])`` stream, in pure Python.
 The burst-length law lives here too, for one length or for lengths 0..F.
 """
 
@@ -175,6 +177,64 @@ def sample_delivery(
     for (sender, _), ok in zip(links, oks):
         (delivered if ok else lost).update(outboxes[sender])
     return delivered, lost, not any(oks)
+
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's ``hashmix``, which carries its hash constant from call to call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value = (value ^ h) * (h := h * mult & _M32) & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+class ReceiverStream:
+    """The doubles of NumPy's ``default_rng([seed, uid]).random()``, bit for
+    bit, without NumPy: ``SeedSequence([seed, uid])`` (a pool of four 32-bit
+    words) seeds a PCG64, a 128-bit LCG with the XSL-RR output (O'Neill
+    2014). ``seed`` and ``uid`` are nonnegative ints."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int, uid: int):
+        # the entropy: each int's 32-bit words, low word first (0 is one word)
+        words = [n >> k & _M32 for n in (seed, uid) for k in range(0, max(n.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight 32-bit words, paired low word first
+        out = _hasher(0x8B51F9DD, 0x58F38DED)
+        w = [out(pool[i % 4]) for i in range(8)]
+        w0, w1, w2, w3 = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
+        # PCG64 seeding: from state 0, step, add the seed state, step
+        self._inc = inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        self._state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
+
+    def random(self) -> float:
+        """The next double in [0, 1): the top 53 bits of the next output."""
+        self._state = s = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (s >> 64 ^ s) & _M64
+        rot = s >> 122
+        return (((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53
 
 
 def burst_length_pmf(p: float, xi: float | None, m: int) -> float:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import ChannelModel, Perfect, sample_delivery
+from .channel import ChannelModel, Perfect, ReceiverStream, sample_delivery
 from .kinematics import (
     IntersectionGeometry,
     Route,
@@ -96,8 +96,9 @@ class VehicleSpec:
 # Rules for the scalar fields of a Scenario: (fields, the test each must
 # pass, what the test asks for).
 _RULES = (
-    (("T", "F", "R", "tau_th", "epsilon", "sigma_x", "d_margin", "sensing_radius",
-      "resume_accel", "max_slots", "seed"), math.isfinite, "finite"),
+    (("F", "max_slots", "seed"), lambda x: type(x) is int, "an integer"),
+    (("T", "R", "tau_th", "epsilon", "sigma_x", "d_margin", "sensing_radius",
+      "resume_accel"), math.isfinite, "finite"),
     (("T", "R", "tau_th", "resume_accel", "max_slots"), lambda x: x > 0, "positive"),
     (("epsilon",), lambda x: 0 < x < 1, "in (0, 1)"),
     (("F", "seed", "sigma_x", "d_margin", "sensing_radius"), lambda x: x >= 0, "nonnegative"),
@@ -136,6 +137,8 @@ class Scenario:
         if len(set(lanes)) != len(lanes):
             raise ScenarioError("one vehicle per approach lane")
         for v in self.vehicles:
+            if type(v.uid) is not int:
+                raise ScenarioError(f"vehicle uid {v.uid!r} must be an integer")
             if not all(map(math.isfinite, (v.x, v.v, v.a, v.dx_bound, v.est_x))):
                 raise ScenarioError(f"vehicle {v.uid} has a non-finite number")
             if v.dx_bound < 0 or v.uid < 0:
@@ -284,12 +287,12 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         for spec in sorted(scenario.vehicles, key=lambda s: s.uid)
     }
     uids = list(vehicles)
-    # one named stream per receiver; deterministic and disjoint across
+    # one stream per receiver, seeded by (seed, uid): NumPy's
+    # default_rng([seed, uid]) draws, deterministic and disjoint across
     # vehicles (deterministic channels never touch them)
     rngs = {}
     if scenario.channel.uses_rng:
-        import numpy as np  # loaded by the first run that draws
-        rngs = {u: np.random.default_rng([scenario.seed, u]) for u in uids}
+        rngs = {u: ReceiverStream(scenario.seed, u) for u in uids}
     rows: list[tuple] = []  # SlotRecord fields, made SlotRecords once at the end
     events: list[tuple[int, int, str]] = []
     violations: list[tuple[int, str, tuple[int, int]]] = []

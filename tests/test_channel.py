@@ -13,6 +13,7 @@ from icsim.channel import (
     CorrelatedBurst,
     DistanceIID,
     Perfect,
+    ReceiverStream,
     Scripted,
     burst_length_pmf,
     burst_length_weights,
@@ -23,6 +24,14 @@ from icsim.protocol import AckMessage, EnterMessage
 from icsim.scenarios import channel_from_dict
 
 ACK = AckMessage(uid=1)
+
+# the two streams a draw can come from, by seed: NumPy's, and the engine's
+# pure-Python copy of it
+STREAMS = pytest.mark.parametrize(
+    "stream",
+    [lambda seed: np.random.default_rng([seed, 2]), lambda seed: ReceiverStream(seed, 2)],
+    ids=["numpy", "receiver_stream"],
+)
 
 
 def deliver(model, rng, receiver=2, slot=1, d=100.0, prior=False):
@@ -96,27 +105,29 @@ class TestSampleDelivery:
         b = [deliver(model, np.random.default_rng([7, s]), slot=s, d=300) for s in range(50)]
         assert a == b
 
-    def test_iid_draws_once_per_link_in_link_order(self):
+    @STREAMS
+    def test_iid_draws_once_per_link_in_link_order(self, stream):
         model = DistanceIID(lam=0.003)
         links = [(1, 50.0), (3, 400.0), (4, 900.0)]
         outboxes = {u: frozenset({AckMessage(uid=u)}) for u, _ in links}
-        got, lost, _ = sample_delivery(
-            model, 2, 1, links, outboxes, False, np.random.default_rng(5)
-        )
-        ref = np.random.default_rng(5)
+        rng = stream(5)
+        got, lost, _ = sample_delivery(model, 2, 1, links, outboxes, False, rng)
+        ref = stream(5)
         want = {u for u, d in links if ref.random() < pdr(d, model.lam)}
         assert {m.uid for m in got} == want
         assert {m.uid for m in lost} == {u for u, _ in links} - want
+        assert rng.random() == ref.random()  # exactly one draw per link was taken
 
-    def test_correlated_one_draw_decides_every_link(self):
+    @STREAMS
+    def test_correlated_one_draw_decides_every_link(self, stream):
         # the draw is taken at the longest link, and it decides all of them
         model = CorrelatedBurst(lam=0.0013, xi=0.5)
         links = [(1, 10.0), (3, 600.0)]
         outboxes = {1: frozenset({ACK}), 3: frozenset({AckMessage(uid=3)})}
         for seed in range(40):
-            rng = np.random.default_rng(seed)
+            rng = stream(seed)
             got, lost, prior = sample_delivery(model, 2, 1, links, outboxes, False, rng)
-            ref = np.random.default_rng(seed)
+            ref = stream(seed)
             ok = ref.random() >= 1.0 - pdr(600.0, model.lam)
             assert (len(got), len(lost), prior) == ((2, 0, False) if ok else (0, 2, True))
             assert rng.random() == ref.random()  # exactly one draw was taken
@@ -127,12 +138,13 @@ class TestSampleDelivery:
             _, _, prior = sample_delivery(model, 2, 1, [(1, 5.0)], outboxes, False, None)
             assert prior is want
 
-    def test_no_link_draws_nothing_and_keeps_the_flag(self):
-        rng = np.random.default_rng(0)
+    @STREAMS
+    def test_no_link_draws_nothing_and_keeps_the_flag(self, stream):
+        rng = stream(0)
         for prior in (False, True):
             out = sample_delivery(CorrelatedBurst(0.001, 0.5), 2, 1, [], {}, prior, rng)
             assert out == (set(), set(), prior)
-        assert rng.random() == np.random.default_rng(0).random()
+        assert rng.random() == stream(0).random()
 
     def test_every_message_of_a_sender_shares_its_fate(self):
         enter = EnterMessage(uid=1, clane="H1R", nlane="H3L", tau_mti=4.0)
@@ -163,6 +175,19 @@ class TestSampleDelivery:
             not deliver(model, rng, slot=s, d=100, prior=True) for s in range(n)
         )
         assert lost_after_loss / n == pytest.approx(0.9, abs=0.01)
+
+
+class TestReceiverStream:
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70, 2**100 + 17]
+    )
+    def test_draws_match_numpy_default_rng(self, seed):
+        # seeds of one to four 32-bit words: with the uid's word, the entropy
+        # leaves SeedSequence's pool of four part empty, fills it, or runs past it
+        for uid in range(5):
+            ours = ReceiverStream(seed, uid)
+            ref = np.random.default_rng([seed, uid])
+            assert [ours.random() for _ in range(1000)] == [ref.random() for _ in range(1000)]
 
 
 class TestModelForms:

@@ -1,9 +1,9 @@
 """Import footprint: NumPy loads only in the code paths that use it.
 
-The random channels, the Monte Carlo and ``fit-pdr`` use NumPy; importing
-the package, the scripted channels of the bundled scenarios, ``diagram``,
-``v2v-prob`` and closed-form ``sweep-delay`` do not. The test process has
-NumPy loaded already, so each check runs in a fresh interpreter.
+The Monte Carlo and ``fit-pdr`` use NumPy; importing the package, the
+bundled scenarios, the random channels (whose streams are pure Python),
+``diagram``, ``v2v-prob`` and closed-form ``sweep-delay`` do not. The test
+process has NumPy loaded already, so each check runs in a fresh interpreter.
 """
 
 import json
@@ -30,6 +30,12 @@ if sys.argv[1:]:
 print(rc, "numpy" in sys.modules)
 """
 
+# fig5b on each random channel, written as <type>.json
+RANDOM_CHANNELS = (
+    {"type": "distance_iid", "lambda": 0.0013},
+    {"type": "correlated", "lambda": 0.0013, "xi": 0.5},
+)
+
 
 def loads_numpy(cwd: Path, *argv: str) -> bool:
     env = dict(os.environ)
@@ -49,6 +55,7 @@ def loads_numpy(cwd: Path, *argv: str) -> bool:
     [
         [],
         *(["simulate", "--scenario", name] for name in sorted(BUNDLED)),
+        *(["simulate", "--scenario", f"{c['type']}.json"] for c in RANDOM_CHANNELS),
         ["diagram"],
         ["v2v-prob"],
         ["sweep-delay", "--trials", "0"],
@@ -56,14 +63,10 @@ def loads_numpy(cwd: Path, *argv: str) -> bool:
     ids=lambda argv: " ".join(argv) or "import",
 )
 def test_numpy_is_not_loaded(argv, tmp_path):
+    for channel in RANDOM_CHANNELS:
+        data = {**scenario_to_dict(bundled_scenario("fig5b")), "channel": channel}
+        (tmp_path / f"{channel['type']}.json").write_text(json.dumps(data))
     assert not loads_numpy(tmp_path, *argv)
-
-
-def test_numpy_is_loaded_by_a_random_channel(tmp_path):
-    data = scenario_to_dict(bundled_scenario("fig5b"))
-    data["channel"] = {"type": "distance_iid", "lambda": 0.0013}
-    (tmp_path / "iid.json").write_text(json.dumps(data))
-    assert loads_numpy(tmp_path, "simulate", "--scenario", "iid.json")
 
 
 def test_numpy_is_loaded_by_the_monte_carlo(tmp_path):

@@ -496,3 +496,29 @@ class TestScenarioValidation:
                     VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=199.0, v=10, a=0),
                 )
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("F", 2.5),
+            ("F", 30.0),
+            ("F", True),
+            ("max_slots", 100.5),
+            ("max_slots", False),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_integer_fields_must_be_ints(self, field, value):
+        # on a random channel, where the seed reaches the receivers' streams
+        base = dataclasses.replace(bundled_scenario("fig5b"), channel=DistanceIID(0.0013))
+        with pytest.raises(ScenarioError, match=f"^{field} must be an integer$"):
+            dataclasses.replace(base, **{field: value})
+
+    @pytest.mark.parametrize("uid", [1.5, 7.0, True])
+    def test_vehicle_uid_must_be_an_int(self, uid):
+        # the uid seeds that car's receiver stream
+        base = dataclasses.replace(bundled_scenario("fig5b"), channel=DistanceIID(0.0013))
+        vehicles = (dataclasses.replace(base.vehicles[0], uid=uid), *base.vehicles[1:])
+        with pytest.raises(ScenarioError, match="uid .* must be an integer$"):
+            dataclasses.replace(base, vehicles=vehicles)
