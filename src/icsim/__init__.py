@@ -47,7 +47,6 @@ from .sim import (
     Scenario,
     SimTrace,
     VehicleSpec,
-    check_liveness,
     check_safety,
     run_scenario,
 )

@@ -9,14 +9,16 @@ gives it what its step reads (a snapshot, or a fallback car's mark to go);
 a crossing or going car runs only the exit rule. Delivery runs only when
 some car sends. A waiting car (a yielder, or a fallback car stopped short
 of its line) waits by one exact rule, ``_held``: while a car in sensing
-range holds it by the wait's own test, it neither senses nor steps. A run
-that records no rows stops driving a done car past its path. Identical
+range holds it by the wait's own test, it neither senses nor steps. No run
+drives an inert car (done, past its path exit, on no cell) through the slot
+loop; a recorded run writes its remaining rows after the loop. Identical
 scenario plus seed always produces a byte-identical trace.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -49,7 +51,6 @@ from .protocol import (
 
 #: Gap kept between a stop target and the position actually stopped at.
 STOP_MARGIN = 0.5
-FOLLOW_GAP = 5.0
 #: A speed at or below this is rest: ``_integrate`` stops the car there.
 REST_SPEED = 1e-12
 _CRUISE = ("cruise",)
@@ -57,20 +58,6 @@ _NO_MAIL: frozenset = frozenset()
 # the modes in which a car's signal lights show it competing for the box
 _SIGNALLING = (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
 
-TRACE_COLUMNS = (
-    "slot",
-    "uid",
-    "mode",
-    "x",
-    "v",
-    "a",
-    "f",
-    "sent",
-    "received",
-    "lost",
-    "occupancy",
-    "action",
-)
 _MODE_NAME = {m: m.value for m in Mode}
 
 
@@ -170,6 +157,9 @@ class SlotRecord(NamedTuple):
     lost: str
     occupancy: str
     action: str
+
+
+TRACE_COLUMNS = SlotRecord._fields
 
 
 @dataclass
@@ -279,7 +269,9 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     """Advance the scenario slot by slot until every vehicle is done or the
     slot budget runs out. Returns the full trace; with ``record=False`` the
     per-slot rows are omitted (summary, events and safety bookkeeping are
-    always kept)."""
+    always kept). Either way, an inert car (done, past its path exit and on
+    no cell) leaves the slot loop, since nothing there reads it; a recorded
+    run drives it through its remaining rows after the loop."""
     w = scenario.geometry.w
     # the cars still driven, in uid order; see the end of the integrate pass
     vehicles = {
@@ -287,13 +279,15 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         for spec in sorted(scenario.vehicles, key=lambda s: s.uid)
     }
     uids = list(vehicles)
+    dropped: list[_Vehicle] = []
     # one stream per receiver, seeded by (seed, uid): NumPy's
     # default_rng([seed, uid]) draws, deterministic and disjoint across
     # vehicles (deterministic channels never touch them)
     rngs = {}
     if scenario.channel.uses_rng:
         rngs = {u: ReceiverStream(scenario.seed, u) for u in uids}
-    rows: list[tuple] = []  # SlotRecord fields, made SlotRecords once at the end
+    # per car, SlotRecord fields, made SlotRecords once at the end
+    rows: dict[int, list[tuple]] = {u: [] for u in uids}
     events: list[tuple[int, int, str]] = []
     violations: list[tuple[int, str, tuple[int, int]]] = []
     crossing_slots = {u: 0 for u in uids}
@@ -346,19 +340,20 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             any_v2v = any_v2v or mode is Mode.V2V_ENTER
             any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
-                rows.append((
+                rows[uid].append((
                     slot, uid, _MODE_NAME[mode], veh.x, veh.v, a_eff, veh.proto.f,
                     _wire(sent) if (sent := outboxes.get(uid)) else "",
                     _wire(got) if (got := delivered[uid]) else "",
                     _wire(missed) if (missed := lost[uid]) else "",
                     cell or "", actions.get(uid, ""),
                 ))
-            elif mode is Mode.DONE and cell is None and veh.x >= veh.exit_x:
-                inert.append(uid)
+            if mode is Mode.DONE and cell is None and veh.x >= veh.exit_x:
+                inert.append(veh)
         # a done car past its path sends, hears and holds nothing, and every
-        # reader skips its sensed record; a run without rows stops driving it
-        for uid in inert:
-            del vehicles[uid]
+        # reader skips its sensed record: it leaves the loop
+        for veh in inert:
+            del vehicles[veh.uid]
+        dropped += inert
 
         mixed_run = mixed_run + 1 if (any_v2v and any_fall) else 0
         mixed_window = max(mixed_window, mixed_run)
@@ -366,10 +361,23 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         if all_done:
             break
 
+    # an inert car's remaining rows: its own control, integrated alone
+    for veh in dropped if record else ():
+        own = rows[veh.uid]
+        for slot in range(len(own) + 1, slots_run + 1):
+            a_eff = _apply_control(veh, scenario)
+            _integrate(veh, a_eff, scenario.T, slot)
+            own.append((
+                slot, veh.uid, "DONE", veh.x, veh.v, a_eff, veh.proto.f, "", "", "", "", "",
+            ))
     summary = _summarize(events, uids, slots_run, violations, mixed_window, crossing_slots)
     return SimTrace(
         scenario=scenario,
-        rows=list(map(functools.partial(tuple.__new__, SlotRecord), rows)),
+        # slot-major, in uid order: every car has a row in every slot
+        rows=list(map(
+            functools.partial(tuple.__new__, SlotRecord),
+            itertools.chain.from_iterable(zip(*rows.values())),
+        )),
         events=events,
         summary=summary,
         violations=violations,
@@ -377,13 +385,14 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     )
 
 
-def _positions(pos, vehicles, x_s) -> None:
-    """Every car's 2-D position this slot, into ``pos`` on first use: both
-    sensing and delivery read it, and positions change only in the
-    integrate pass."""
+def _positions(pos, vehicles, x_s) -> dict[int, tuple[float, float]]:
+    """Every car's 2-D position this slot, into ``pos`` on first use, and
+    ``pos``: sensing, waiting and delivery read it, and positions change
+    only in the integrate pass."""
     if not pos:
         for u, veh in vehicles.items():
             pos[u] = _position_2d(veh, x_s)
+    return pos
 
 
 def _sense(vehicles, scenario, pos) -> dict:
@@ -411,10 +420,10 @@ def _sense(vehicles, scenario, pos) -> dict:
             if veh.triggered:
                 need.append(veh)
         elif m is Mode.AWAIT_EXIT:
-            if not _held(veh, vehicles, x_s, r2):
+            if not _held(veh, vehicles, pos, x_s, r2):
                 need.append(veh)
         elif m is Mode.SD_FALLBACK and not veh.fallback_go and (
-            veh.x >= veh.x_col or (veh.v == 0.0 and not _held(veh, vehicles, x_s, r2))
+            veh.x >= veh.x_col or (veh.v == 0.0 and not _held(veh, vehicles, pos, x_s, r2))
         ):
             out[veh.uid] = None
     if not need:
@@ -422,12 +431,9 @@ def _sense(vehicles, scenario, pos) -> dict:
     _positions(pos, vehicles, x_s)
     for me in need:
         uid = me.uid
-        mx, my = pos[uid]
         others = []
-        for o_uid, (ox, oy) in pos.items():
-            dx = mx - ox
-            dy = my - oy
-            if o_uid == uid or dx * dx + dy * dy > r2:
+        for o_uid in pos:
+            if o_uid == uid or not _in_range(pos, uid, o_uid, r2):
                 continue
             o = vehicles[o_uid]
             others.append(SensedVehicle(
@@ -447,10 +453,11 @@ def _signalling(veh: _Vehicle) -> bool:
     return mode in _SIGNALLING or (mode is Mode.SD_FALLBACK and veh.fallback_go)
 
 
-def _held(me: _Vehicle, vehicles, x_s: float, r2: float) -> bool:
+def _held(me: _Vehicle, vehicles, pos, x_s: float, r2: float) -> bool:
     """The wait rule of a yielder or of a fallback car stopped short of its
     line: whether some other car still driven holds it this slot by the
-    wait's own test and is in sensing range (``_in_range``). A yielder waits
+    wait's own test and is in sensing range (``_in_range`` on the slot's
+    ``pos``, filled only once some car passes that test). A yielder waits
     on a car it yielded to that has not exited and is moving or signalling;
     a car it yielded to that sits still with its signal off has abandoned
     the crossing (sensor fallback). A fallback car waits, by four-way-stop
@@ -462,7 +469,7 @@ def _held(me: _Vehicle, vehicles, x_s: float, r2: float) -> bool:
             if (
                 o is not None and o is not me and o.x < o.exit_x
                 and (o.stopped_since is None or _signalling(o))
-                and _in_range(me, o, x_s, r2)
+                and _in_range(_positions(pos, vehicles, x_s), me.uid, o_uid, r2)
             ):
                 return True
         return False
@@ -471,18 +478,17 @@ def _held(me: _Vehicle, vehicles, x_s: float, r2: float) -> bool:
         if o is not me and o.x < o.exit_x and (
             o.x >= me.x_col or _signalling(o)
             or (o.stopped_since is not None and (o.stopped_since, o.uid) < mine)
-        ) and _in_range(me, o, x_s, r2):
+        ) and _in_range(_positions(pos, vehicles, x_s), me.uid, o.uid, r2):
             return True
     return False
 
 
-def _in_range(me: _Vehicle, o: _Vehicle, x_s: float, r2: float) -> bool:
-    """Whether ``me`` senses ``o``: ``_sense``'s test, on the same squared
-    distance between the two cars' 2-D positions."""
-    mx, my = _position_2d(me, x_s)
-    ox, oy = _position_2d(o, x_s)
-    dx = mx - ox
-    dy = my - oy
+def _in_range(pos, a: int, b: int, r2: float) -> bool:
+    """Whether cars ``a`` and ``b`` sense each other: the squared distance
+    between their 2-D positions in ``pos`` is at most ``r2``."""
+    (ax, ay), (bx, by) = pos[a], pos[b]
+    dx = ax - bx
+    dy = ay - by
     return dx * dx + dy * dy <= r2
 
 
@@ -507,15 +513,9 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
         elif decision is SDDecision.USE_SD_CROSS:
             if veh.x_est >= veh.x_col:
                 _cross(veh, slot, events)
-        elif decision is SDDecision.USE_SD_FOLLOW:
-            leaders = [
-                o
-                for o in snap.others
-                if o.clane == veh.route.clane and not o.exited and o.x > veh.x
-            ]
-            target = min(o.x for o in leaders) - FOLLOW_GAP if leaders else None
-            veh.control = ("follow", target)
         else:
+            # USE_SD_WAIT: USE_SD_FOLLOW needs a car ahead on the own lane,
+            # and Scenario allows one car per approach lane
             veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
         return _NO_MAIL, decision.value
 
@@ -657,11 +657,6 @@ def _apply_control(veh: _Vehicle, scenario) -> float:
         return veh.a_des
     if kind == "stop_at":
         return _approach_accel(veh, veh.control[1], scenario)
-    if kind == "follow":
-        target = veh.control[1]
-        if target is None:
-            return veh.a_des
-        return min(veh.a_des, _stop_accel(veh, target, scenario.T))
     if kind == "yield":
         a = veh.a_nopr
         if veh.guard_x is not None:
@@ -783,15 +778,6 @@ def check_safety(trace: SimTrace) -> list[tuple[int, str, tuple[int, int]]]:
             out.append((row.slot, cell, (cells[cell], row.uid)))
         else:
             cells[cell] = row.uid
-    return out
-
-
-def check_liveness(trace: SimTrace, bound: int) -> dict[int, bool]:
-    """Per-vehicle: did it finish crossing within ``bound`` slots?"""
-    out = {}
-    for spec in trace.scenario.vehicles:
-        done = trace.summary["vehicles"][str(spec.uid)]["done_slot"]
-        out[spec.uid] = done is not None and done <= bound
     return out
 
 

@@ -1,8 +1,8 @@
 """Cross-cutting invariants: message-set bounds, counter bounds, the
 ordering between a yielder's and a proceeder's collision-area occupancy, the
 agreement of the event log with the recorded rows, which cars the engine
-steps, the agreement of the two record modes, and the one rule by which a
-waiting car waits."""
+steps and drives, the agreement of the two record modes, the one rule by
+which a waiting car waits, and that no run reaches the follow decision."""
 
 import itertools
 import math
@@ -22,7 +22,7 @@ from icsim.kinematics import (
     Route,
     collision_area,
 )
-from icsim.protocol import Mode, simulate_enter_round
+from icsim.protocol import Mode, SDDecision, simulate_enter_round
 from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import Scenario, ScenarioError, VehicleSpec, run_scenario
 
@@ -308,10 +308,22 @@ def _outcome(trace) -> tuple:
     return trace.events, trace.summary, trace.violations, trace.slots_run
 
 
+def _inert_slots(trace) -> dict[int, int]:
+    """From a recorded run, the slot in which each car became inert: DONE,
+    past its path and off every cell."""
+    geo = trace.scenario.geometry
+    exits = {s.uid: geo.path_exit(s.route) for s in trace.scenario.vehicles}
+    inert = {}
+    for r in trace.rows:
+        if r.mode == "DONE" and not r.occupancy and r.x >= exits[r.uid]:
+            inert.setdefault(r.uid, r.slot)
+    return inert
+
+
 class TestStepping:
-    """A car runs its protocol step only in a slot that can change it, and a
-    run without rows stops driving a car once nothing can read it; neither
-    changes what a run gives."""
+    """A car runs its protocol step only in a slot that can change it, and
+    the slot loop stops driving a car once nothing can read it, whether the
+    run records rows or not; neither changes what a run gives."""
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     @pytest.mark.parametrize("record", [True, False])
@@ -363,13 +375,7 @@ class TestStepping:
     def test_an_inert_car_is_not_driven_without_rows(self, name, tmp_path, monkeypatch):
         scenario = resolve_scenario(_reference(name, tmp_path))
         full = run_scenario(scenario)
-        geo = scenario.geometry
-        exits = {s.uid: geo.path_exit(s.route) for s in scenario.vehicles}
-        # the slot in which each car became DONE, past its path and off every cell
-        inert = {}
-        for r in full.rows:
-            if r.mode == "DONE" and not r.occupancy and r.x >= exits[r.uid]:
-                inert.setdefault(r.uid, r.slot)
+        inert = _inert_slots(full)
         integrate = icsim.sim._integrate
         last = {}
 
@@ -382,11 +388,54 @@ class TestStepping:
         assert _outcome(bare) == _outcome(full)
         assert last == {s.uid: inert.get(s.uid, full.slots_run) for s in scenario.vehicles}
 
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    @pytest.mark.parametrize("record", [True, False])
+    def test_the_slot_loop_drops_an_inert_car_in_both_record_modes(
+        self, name, record, tmp_path, monkeypatch
+    ):
+        scenario = resolve_scenario(_reference(name, tmp_path))
+        inert = _inert_slots(run_scenario(scenario))
+        sense = icsim.sim._sense
+        driven = []
+
+        def counted_sense(vehicles, *args):
+            driven.append(set(vehicles))
+            return sense(vehicles, *args)
+
+        monkeypatch.setattr(icsim.sim, "_sense", counted_sense)
+        run_scenario(scenario, record=record)
+        for slot, uids in enumerate(driven, 1):
+            assert uids == {
+                s.uid for s in scenario.vehicles if inert.get(s.uid, slot) >= slot
+            }, slot
+
     @settings(max_examples=100, deadline=None)
     @given(scenario=random_scenarios())
     def test_record_modes_agree_on_random_inputs(self, scenario):
         bare = run_scenario(scenario, record=False)
         assert _outcome(bare) == _outcome(run_scenario(scenario))
+
+
+class TestSensorDecisions:
+    """No run reaches ``sd_main_step``'s COND2, following a car ahead on the
+    own lane: ``Scenario`` allows one car per approach lane, so the engine
+    has no follow regime."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=random_scenarios())
+    def test_no_car_is_told_to_follow(self, scenario):
+        step = icsim.sim.sd_main_step
+        decisions = []
+
+        def recorded(*args):
+            state, decision = step(*args)
+            decisions.append(decision)
+            return state, decision
+
+        with mock.patch.object(icsim.sim, "sd_main_step", recorded):
+            run_scenario(scenario, record=False)
+        assert decisions
+        assert SDDecision.USE_SD_FOLLOW not in decisions
 
 
 def _full(trace) -> tuple:
@@ -517,7 +566,7 @@ class TestWaitRule:
     @given(state=waiting_cars())
     def test_held_is_the_full_rule(self, state):
         scenario, me, vehicles = state
-        held = icsim.sim._held(me, vehicles, GEO.x_s, scenario.sensing_radius**2)
+        held = icsim.sim._held(me, vehicles, {}, GEO.x_s, scenario.sensing_radius**2)
         assert held is _waits(me, vehicles, scenario)
 
     @pytest.mark.parametrize("beyond", [False, True])
@@ -539,7 +588,7 @@ class TestWaitRule:
         other.x = GEO.x_s - (distance - (GEO.x_s - me.x))
         gap = math.dist(icsim.sim._position_2d(me, GEO.x_s), icsim.sim._position_2d(other, GEO.x_s))
         assert gap == distance
-        held = icsim.sim._held(me, {1: me, 2: other}, GEO.x_s, radius**2)
+        held = icsim.sim._held(me, {1: me, 2: other}, {}, GEO.x_s, radius**2)
         assert held is not beyond
         assert _waits(me, {1: me, 2: other}, scenario) is not beyond
 

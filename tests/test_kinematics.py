@@ -20,7 +20,7 @@ from icsim.kinematics import (
     priority_decision,
     yield_acceleration,
 )
-from test_acceptance import conflicting_pairs
+from test_acceptance import conflicting_pairs, conflicting_triples
 
 GEO = IntersectionGeometry(x_s=200.0, w=3.5)
 
@@ -352,6 +352,22 @@ class TestVerdictSoundness:
                 assert clashes({1: (r1, t1), 2: (r2, t2)}) == [], (r1, r2, t1, t2)
                 checked += 1
         assert checked == 28_577
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="each car is compared only with the earliest other arrival, so "
+        "two later cars can both proceed through a cell they share",
+    )
+    def test_every_conflicting_triple_on_a_half_second_grid(self):
+        # stops at the first unsound verdict, which it names
+        taus = [k / 2 for k in range(17)]  # 0 to 8 s
+        checked = 0
+        for routes in conflicting_triples():
+            for ts in itertools.product(taus, repeat=3):
+                entries = {i: (r, t) for i, (r, t) in enumerate(zip(routes, ts), 1)}
+                assert clashes(entries) == [], (routes, ts)
+                checked += 1
+        assert checked == 75 * 17**3
 
     @pytest.mark.xfail(
         strict=True,

@@ -462,7 +462,7 @@ def yielder_and_priority_car(mode, v, stopped_since=None):
     other = _Vehicle(VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=195.0, v=v, a=1.0), 8, geo)
     me.proto.mode, me.proceed_uids = Mode.AWAIT_EXIT, frozenset({2})
     other.proto.mode, other.stopped_since = mode, stopped_since
-    return _held(me, {1: me, 2: other}, geo.x_s, 150.0**2)
+    return _held(me, {1: me, 2: other}, {}, geo.x_s, 150.0**2)
 
 
 class TestExitStep:
