@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import NamedTuple
 
 from .channel import Scripted, sample_delivery
@@ -29,7 +28,9 @@ from .kinematics import (
 )
 
 
-class Mode(str, Enum):
+# Plain strings, each its own trace name, tested with ``is``: on Python 3.11
+# an Enum member lookup goes through the metaclass and costs several times more.
+class Mode:
     SD_APPROACH = "SD_APPROACH"
     V2V_ENTER = "V2V_ENTER"
     AWAIT_EXIT = "AWAIT_EXIT"
@@ -38,14 +39,14 @@ class Mode(str, Enum):
     SD_FALLBACK = "SD_FALLBACK"
 
 
-class Action(str, Enum):
+class Action:
     NONE = "None"
     INITIATE_MAINCTRL = "InitiateMainCtrl"
     SWITCH_TO_SD = "SwitchToSD"
     EXITED = "Exited"
 
 
-class SDDecision(str, Enum):
+class SDDecision:
     USE_SD_CROSS = "UseSD_Cross"
     USE_SD_FOLLOW = "UseSD_Follow"
     USE_SD_WAIT = "UseSD_Wait"
@@ -82,7 +83,7 @@ class SlotIO:
     """One slot's outgoing messages and the resulting control action."""
 
     outbox: frozenset[V2VMessage] = frozenset()
-    action: Action = Action.NONE
+    action: str = Action.NONE
 
 
 class SensedVehicle(NamedTuple):
@@ -122,7 +123,7 @@ class ProtocolState:
 
     uid: int
     F: int
-    mode: Mode = Mode.SD_APPROACH
+    mode: str = Mode.SD_APPROACH
     f: int = 0
     t: int = 0
     known_enters: dict[int, EnterMessage] = field(default_factory=dict)
@@ -208,7 +209,7 @@ def build_enter(snapshot: SensorSnapshot) -> EnterMessage:
 
 def sd_main_step(
     state: ProtocolState, sensed: SensorSnapshot
-) -> tuple[ProtocolState, SDDecision]:
+) -> tuple[ProtocolState, str]:
     """Sensor-based decision while approaching the intersection.
 
     COND1: nobody near the intersection, cross carefully on sensors alone.
@@ -449,7 +450,7 @@ def _run_slots(res: EnterRoundResult, channel, last: int, logged: bool = False) 
                         "sent": sorted(encode_message(m) for m in io.outbox),
                         "received": sorted(encode_message(m) for m in pending[uid]),
                         "f": st.f,
-                        "action": io.action.value,
+                        "action": io.action,
                     }
                 )
         for uid in uids:

@@ -58,8 +58,6 @@ _NO_MAIL: frozenset = frozenset()
 # the modes in which a car's signal lights show it competing for the box
 _SIGNALLING = (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
 
-_MODE_NAME = {m: m.value for m in Mode}
-
 
 class ScenarioError(ValueError):
     """A scenario file or structure violates the schema or its invariants."""
@@ -341,7 +339,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
                 rows[uid].append((
-                    slot, uid, _MODE_NAME[mode], veh.x, veh.v, a_eff, veh.proto.f,
+                    slot, uid, mode, veh.x, veh.v, a_eff, veh.proto.f,
                     _wire(sent) if (sent := outboxes.get(uid)) else "",
                     _wire(got) if (got := delivered[uid]) else "",
                     _wire(missed) if (missed := lost[uid]) else "",
@@ -368,7 +366,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             a_eff = _apply_control(veh, scenario)
             _integrate(veh, a_eff, scenario.T, slot)
             own.append((
-                slot, veh.uid, "DONE", veh.x, veh.v, a_eff, veh.proto.f, "", "", "", "", "",
+                slot, veh.uid, Mode.DONE, veh.x, veh.v, a_eff, veh.proto.f, "", "", "", "", "",
             ))
     summary = _summarize(events, uids, slots_run, violations, mixed_window, crossing_slots)
     return SimTrace(
@@ -517,7 +515,7 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
             # USE_SD_WAIT: USE_SD_FOLLOW needs a car ahead on the own lane,
             # and Scenario allows one car per approach lane
             veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
-        return _NO_MAIL, decision.value
+        return _NO_MAIL, decision
 
     if mode is Mode.V2V_ENTER:
         return _v2v_step(veh, scenario, slot, events)
@@ -550,7 +548,7 @@ def _exit_rule(veh: _Vehicle, slot, events) -> str:
     crossing = veh.proto.mode is Mode.CROSSING
     veh.proto.mode = Mode.DONE
     events.append((slot, veh.uid, "EXITED"))
-    return Action.EXITED.value if crossing else ""
+    return Action.EXITED if crossing else ""
 
 
 def _cross(veh: _Vehicle, slot, events) -> None:
@@ -574,7 +572,7 @@ def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
         # a re-entered yielder keeps holding at its collision boundary
         # while the fresh handshake runs
         veh.control = ("stop_at", veh.guard_x)
-    return io.outbox, "" if io.action is Action.NONE else io.action.value
+    return io.outbox, "" if io.action is Action.NONE else io.action
 
 
 def _apply_verdict(veh: _Vehicle, scenario, slot, events):

@@ -65,6 +65,7 @@ DIGESTS = {
     "rest_start": (0, "37e6f07702bb3ac1406bb31ed27fffd04e4cd12d890687796295d215df0312af"),
     "fault_late_joiner": (2, "2c4f2aaae74ee7af4557d0baa493d0cef977f34f862eddede2c61322a7d4916c"),
     "fault_priority_min": (2, "87b4a215c624563137dc135068845623716c51f6f1deab51fb2baf2fc5ee84e1"),
+    "fault_slow_pair": (2, "c376b6843342e7dcbbe076de8cec8faded83df00b84e1cd7b9e8e7472f1174d9"),
     "fault_split_view": (3, "c0370d0181dcc5917d21afbb8a0dc9da2dcefa6680a28c94b4507cf96c0b4daa"),
     "iid_harsh_3car_s1": (0, "093c8696fc9b3d0bc965407a5521c85a96011e68d2b5d59db75bf97f7c35f43b"),
     "iid_harsh_3car_s2": (0, "46a20926df68e1be3f59d96bce2d0485c4aa089702499003deed289d4b3c3609"),

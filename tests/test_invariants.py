@@ -507,7 +507,7 @@ def _edge(me, o, radius) -> list[float]:
     return [r for r in (b - math.sqrt(disc), b + math.sqrt(disc)) if r >= 0]
 
 
-MODES = tuple(Mode)
+MODES = tuple(v for k, v in vars(Mode).items() if not k.startswith("_"))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Protocol state-machine tests: diagram reproduction, exhaustive
 equivalence with the closed-form delay, agreement, fallback containment."""
 
+import enum
 import itertools
 
 import pytest
@@ -24,11 +25,45 @@ from icsim.protocol import (
     sd_main_step,
     simulate_enter_round,
 )
-from icsim.sim import VehicleSpec, _held, _Vehicle
+from icsim.scenarios import BUNDLED, bundled_scenario
+from icsim.sim import VehicleSpec, _held, _Vehicle, run_scenario
 
 
 def burst(uid: int, length: int, start: int = 1) -> set[tuple[int, int]]:
     return {(uid, s) for s in range(start, start + length)}
+
+
+class TestConstants:
+    """Modes, actions and decisions are plain strings, each its own trace
+    name: the engine tests them with ``is`` on every car and slot, and on
+    Python 3.11 an Enum member lookup goes through the metaclass, several
+    times slower than a plain attribute."""
+
+    NAMES = {
+        Mode: ["SD_APPROACH", "V2V_ENTER", "AWAIT_EXIT", "CROSSING", "DONE", "SD_FALLBACK"],
+        Action: ["None", "InitiateMainCtrl", "SwitchToSD", "Exited"],
+        SDDecision: ["UseSD_Cross", "UseSD_Follow", "UseSD_Wait", "SwitchToV2V"],
+    }
+
+    @staticmethod
+    def members(cls):
+        return [v for k, v in vars(cls).items() if not k.startswith("_")]
+
+    @pytest.mark.parametrize("cls", [Mode, Action, SDDecision], ids=lambda c: c.__name__)
+    def test_plain_class_of_trace_names(self, cls):
+        assert not issubclass(cls, enum.Enum)
+        assert type(cls) is type
+        assert self.members(cls) == self.NAMES[cls]
+        assert all(type(m) is str for m in self.members(cls))
+
+    def test_bundled_rows_carry_the_mode_constants_themselves(self):
+        modes = self.members(Mode)
+        seen = set()
+        for name in sorted(BUNDLED):
+            for row in run_scenario(bundled_scenario(name), record=True).rows:
+                assert any(row.mode is m for m in modes), (name, row)
+                seen.add(row.mode)
+        assert seen == set(modes)
 
 
 class TestClosedFormDelay:

@@ -55,6 +55,12 @@ FAULTS = {
     # _absorb drops car 2's late ENTER once car 3 has sent its ACK; cars 1
     # and 3 decide on different ENTER sets and wait for each other (exit 3).
     "fault_split_view": "_absorb drops an unlisted ENTER after the ACK: split ENTER sets",
+    # two lossless cars at 3 m/s, F=3: H3R->H2L at 182 m turns left through
+    # S3, S4 and S1, H1R->H2L at 175.85 m turns right into S1. Their taus,
+    # 2.05 s apart, pass the tau_th test, so both take MAINCTRL at slot 4;
+    # at 3 m/s their times in S1 still overlap, and they meet there from
+    # slot 72 (exit 2).
+    "fault_slow_pair": "tau_th separates arrival times, not per-cell occupancy windows",
 }
 
 

@@ -61,7 +61,7 @@ class TestScriptedScenarios:
         # the late car stays out of V2V during the whole first crossing
         for row in trace.rows:
             if row.uid == 3 and row.slot <= done_first:
-                assert row.mode != Mode.V2V_ENTER.value
+                assert row.mode != Mode.V2V_ENTER
         assert trace.summary["all_done"]
         assert check_safety(trace) == []
 
@@ -182,7 +182,7 @@ class TestFallbackSafetyAndLiveness:
             fb = trace.summary["vehicles"][uid]["fallback_slot"]
             for row in trace.rows:
                 if row.uid == int(uid) and row.slot > fb:
-                    assert row.mode in (Mode.SD_FALLBACK.value, Mode.DONE.value)
+                    assert row.mode in (Mode.SD_FALLBACK, Mode.DONE)
 
 
 class TestDeterminism:
