@@ -132,6 +132,10 @@ class Scenario:
                 raise ScenarioError(f"vehicle {v.uid} starts inside the intersection")
             if v.v < 0:
                 raise ScenarioError(f"vehicle {v.uid} has negative initial speed")
+            # the announced arrival time takes the root of this squared speed
+            dx = self.geometry.x_s - min(v.x, v.est_x)
+            if not math.isfinite(v.v * v.v + 2.0 * max(v.a, 0.0) * dx):
+                raise ScenarioError(f"vehicle {v.uid} is too fast: v*v + 2*a*dx overflows")
             # a car regains only its initial speed, and at its own a when a > 0,
             # so one that stays at rest in its first slot, or in the first slot
             # after a stop, never moves again
@@ -512,8 +516,7 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
             if veh.x_est >= veh.x_col:
                 _cross(veh, slot, events)
         else:
-            # USE_SD_WAIT: USE_SD_FOLLOW needs a car ahead on the own lane,
-            # and Scenario allows one car per approach lane
+            # USE_SD_WAIT, the only other decision
             veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
         return _NO_MAIL, decision
 

@@ -339,7 +339,7 @@ class TestCriterion3And4SafetySearch:
 
 
 class TestCriterion5MonteCarloCrossValidation:
-    def test_analytic_matches_simulation(self):
+    def test_burst_law_sampler_matches_weighted_average(self):
         F = 30
         n_trials = 100_000
         checked = 0

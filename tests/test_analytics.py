@@ -12,7 +12,6 @@ from icsim.analytics import (
     DECAY_HARSH,
     DECAY_OPEN_FIELD,
     PdrSample,
-    _closed_form_delay_by_burst,
     _simulated_delay_by_burst,
     expected_enter_delay,
     fit_decay_rate,
@@ -27,7 +26,7 @@ from icsim.channel import (
     burst_length_weights,
     pdr,
 )
-from icsim.protocol import enter_step, simulate_enter_round
+from icsim.protocol import simulate_enter_round
 
 
 def brute_force_expected_delay(p, F, xi):
@@ -291,23 +290,19 @@ class TestMonteCarloEnterDelay:
 
 
 class TestDelayTable:
-    """``_simulated_delay_by_burst`` forks one lossy round after each slot;
-    it must give what one round per burst length gives, at linear cost."""
+    """``_simulated_delay_by_burst`` is the closed form; the protocol machine
+    must resolve each burst length in the slots it gives, whichever of the
+    two cars the burst hits."""
 
-    @staticmethod
-    def one_round_per_burst(F):
-        return [
-            simulate_enter_round(2, F=F, losses={(2, s) for s in range(1, m + 1)}).resolution_slot()
+    @pytest.mark.parametrize("receiver", [1, 2])
+    @pytest.mark.parametrize("F", range(61))
+    def test_equals_one_round_per_burst(self, F, receiver):
+        assert _simulated_delay_by_burst(F).tolist() == [
+            simulate_enter_round(
+                2, F=F, losses={(receiver, s) for s in range(1, m + 1)}
+            ).resolution_slot()
             for m in range(F + 1)
         ]
-
-    @pytest.mark.parametrize("F", range(41))
-    def test_equals_one_round_per_burst(self, F):
-        assert _simulated_delay_by_burst(F).tolist() == self.one_round_per_burst(F)
-
-    @pytest.mark.parametrize("F", range(61))
-    def test_equals_the_closed_form(self, F):
-        assert _simulated_delay_by_burst(F).tolist() == list(_closed_form_delay_by_burst(F))
 
     def test_cache_clear_rebuilds_an_equal_table(self):
         table = _simulated_delay_by_burst(12)
@@ -315,21 +310,6 @@ class TestDelayTable:
         rebuilt = _simulated_delay_by_burst(12)
         assert rebuilt is not table
         assert np.array_equal(rebuilt, table)
-
-    def test_cost_is_linear_in_F(self, monkeypatch):
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return enter_step(*args)
-
-        monkeypatch.setattr("icsim.protocol.enter_step", counted)
-        _simulated_delay_by_burst.cache_clear()
-        F = 200
-        _simulated_delay_by_burst(F)
-        # one round per burst length made 41,606 calls here
-        assert 0 < calls <= 10 * (F + 1)
 
 
 class TestDelayCurve:

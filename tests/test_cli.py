@@ -153,6 +153,10 @@ class TestMalformedScenario:
             (("vehicles", 1, "v"), 1e-320),
             (("vehicles", 1, "v"), 5e-324),
             (("F",), 1e400),
+            # the squared speed at the center, v*v + 2*a*dx, overflows: the
+            # car would announce an unreachable arrival time
+            (("vehicles", 0, "a"), 1e306),
+            (("vehicles", 0, "v"), 1e308),
             # the integer fields take only integral numbers, named in the error
             (("F",), 2.7),
             (("F",), True),

@@ -1,8 +1,8 @@
 """Cross-cutting invariants: message-set bounds, counter bounds, the
 ordering between a yielder's and a proceeder's collision-area occupancy, the
 agreement of the event log with the recorded rows, which cars the engine
-steps and drives, the agreement of the two record modes, the one rule by
-which a waiting car waits, and that no run reaches the follow decision."""
+steps and drives, the agreement of the two record modes and the one rule by
+which a waiting car waits."""
 
 import itertools
 import math
@@ -22,7 +22,7 @@ from icsim.kinematics import (
     Route,
     collision_area,
 )
-from icsim.protocol import Mode, SDDecision, simulate_enter_round
+from icsim.protocol import Mode, simulate_enter_round
 from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import Scenario, ScenarioError, VehicleSpec, run_scenario
 
@@ -414,28 +414,6 @@ class TestStepping:
     def test_record_modes_agree_on_random_inputs(self, scenario):
         bare = run_scenario(scenario, record=False)
         assert _outcome(bare) == _outcome(run_scenario(scenario))
-
-
-class TestSensorDecisions:
-    """No run reaches ``sd_main_step``'s COND2, following a car ahead on the
-    own lane: ``Scenario`` allows one car per approach lane, so the engine
-    has no follow regime."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(scenario=random_scenarios())
-    def test_no_car_is_told_to_follow(self, scenario):
-        step = icsim.sim.sd_main_step
-        decisions = []
-
-        def recorded(*args):
-            state, decision = step(*args)
-            decisions.append(decision)
-            return state, decision
-
-        with mock.patch.object(icsim.sim, "sd_main_step", recorded):
-            run_scenario(scenario, record=False)
-        assert decisions
-        assert SDDecision.USE_SD_FOLLOW not in decisions
 
 
 def _full(trace) -> tuple:

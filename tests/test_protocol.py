@@ -42,7 +42,7 @@ class TestConstants:
     NAMES = {
         Mode: ["SD_APPROACH", "V2V_ENTER", "AWAIT_EXIT", "CROSSING", "DONE", "SD_FALLBACK"],
         Action: ["None", "InitiateMainCtrl", "SwitchToSD", "Exited"],
-        SDDecision: ["UseSD_Cross", "UseSD_Follow", "UseSD_Wait", "SwitchToV2V"],
+        SDDecision: ["UseSD_Cross", "UseSD_Wait", "SwitchToV2V"],
     }
 
     @staticmethod
@@ -415,12 +415,6 @@ class TestSdMainStep:
         assert decision is SDDecision.USE_SD_CROSS
         assert st.mode is Mode.SD_APPROACH
 
-    def test_vehicle_ahead_same_lane_follows(self):
-        st = ProtocolState(uid=1, F=8)
-        snap = make_snapshot(others=[sensed(2, "H1R", dist=50.0)])
-        st, decision = sd_main_step(st, snap)
-        assert decision is SDDecision.USE_SD_FOLLOW
-
     def test_competition_in_progress_waits(self):
         st = ProtocolState(uid=1, F=8)
         snap = make_snapshot(others=[sensed(2, "H2R", dist=90.0, light=True)])
@@ -445,7 +439,7 @@ class TestSdMainStep:
                 sensed(2, "H2R", dist=95.0),
                 sensed(3, "H3R", dist=151.0),  # beyond the 150 m radius
                 sensed(4, "H4R", dist=5.0, exited=True),
-                sensed(5, "H1R", dist=60.0),  # own lane: followed, not a competitor
+                sensed(5, "H1R", dist=60.0),  # own lane: not a competitor
             ]
         )
         assert competitors(snap) == {2}
