@@ -262,7 +262,7 @@ def cmd_diagram(args) -> int:
             recv = ",".join(m.split(":")[0] + ":" + m.split(":")[1] for m in entry["received"])
             print(
                 f"{entry['slot']:>4} {entry['uid']:>3} {entry['f']:>2}  "
-                f"{sent:<24} {recv:<40} {entry['action'] if entry['action'] != 'None' else ''}"
+                f"{sent:<24} {recv:<40} {entry['action']}"
             )
         print()
     return EXIT_OK

@@ -9,7 +9,7 @@ are safe to call from any context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Sentinel returned when a vehicle can never reach the target position.
 UNREACHABLE = math.inf
@@ -21,7 +21,15 @@ A_TOL = 1e-6
 APPROACH_LANES = ("H1R", "H2R", "H3R", "H4R")
 EXIT_LANES = ("H1L", "H2L", "H3L", "H4L")
 
-_MANEUVER_NAMES = {1: "right", 2: "straight", 3: "left"}
+#: Each route's cells in path order, by (approach lane, exit lane). The entry
+#: cell is the approach's own quadrant, and a route turning k quarters
+#: counterclockwise (1 right, 2 straight, 3 left) sweeps k quadrants.
+OCCUPANCY = {
+    (cl, nl): tuple(f"S{(k + i) % 4 + 1}" for i in range((j - k) % 4))
+    for k, cl in enumerate(APPROACH_LANES)
+    for j, nl in enumerate(EXIT_LANES)
+    if j != k
+}
 
 
 class UnknownLaneError(ValueError):
@@ -70,11 +78,8 @@ class Route:
             raise UnknownLaneError(f"unknown approach lane {self.clane!r}")
         if self.nlane not in EXIT_LANES:
             raise UnknownLaneError(f"unknown departure lane {self.nlane!r}")
-        if self._turn() == 0:
+        if self.turn == 0:
             raise ValueError(f"route {self.clane}->{self.nlane} is a U-turn")
-
-    def _turn(self) -> int:
-        return (EXIT_LANES.index(self.nlane) - APPROACH_LANES.index(self.clane)) % 4
 
     @property
     def approach(self) -> int:
@@ -82,17 +87,9 @@ class Route:
         return APPROACH_LANES.index(self.clane)
 
     @property
-    def maneuver(self) -> str:
-        """One of 'right', 'straight', 'left'."""
-        return _MANEUVER_NAMES[self._turn()]
-
-
-def _traversal(route: Route) -> tuple[str, ...]:
-    # Entry quadrant equals the approach index; a right turn uses only it,
-    # straight adds the quadrant beyond, left sweeps three quadrants.
-    k = route.approach
-    n_cells = {"right": 1, "straight": 2, "left": 3}[route.maneuver]
-    return tuple(f"S{((k + i) % 4) + 1}" for i in range(n_cells))
+    def turn(self) -> int:
+        """Quarter turns counterclockwise: 1 right, 2 straight, 3 left."""
+        return (EXIT_LANES.index(self.nlane) - self.approach) % 4
 
 
 @dataclass(frozen=True)
@@ -101,26 +98,16 @@ class IntersectionGeometry:
 
     ``x_s`` is the position of the intersection center along every approach
     axis and ``w`` the cell width. A route's path through the intersection is
-    its ordered cell list, each cell spanning ``w`` meters of path, starting
-    at ``x_s - w``.
+    its ordered cell list (``OCCUPANCY``), each cell spanning ``w`` meters of
+    path, starting at ``x_s - w``.
     """
 
     x_s: float = 200.0
     w: float = 3.5
-    occupancy_table: dict[tuple[str, str], tuple[str, ...]] = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.x_s) and math.isfinite(self.w) and self.w > 0):
             raise ValueError("geometry needs a finite x_s and a finite w above 0")
-        table = {}
-        for cl in APPROACH_LANES:
-            for nl in EXIT_LANES:
-                try:
-                    r = Route(cl, nl)
-                except ValueError:
-                    continue
-                table[(cl, nl)] = _traversal(r)
-        object.__setattr__(self, "occupancy_table", table)
 
     @property
     def x_col(self) -> float:
@@ -128,7 +115,7 @@ class IntersectionGeometry:
         return self.x_s - self.w
 
     def occupancy(self, route: Route) -> tuple[str, ...]:
-        return self.occupancy_table[(route.clane, route.nlane)]
+        return OCCUPANCY[(route.clane, route.nlane)]
 
     def cell_entry(self, route: Route, cell: str) -> float:
         """Position along the route's path where ``cell`` begins."""
@@ -246,11 +233,7 @@ def priority_decision(
         if not col[j]:
             decisions[j] = True
             continue
-        others = [taus[i] for i in entries if i != j]
-        if not others:
-            decisions[j] = True
-            continue
-        m = min(others)
+        m = min(taus[i] for i in entries if i != j)
         if abs(taus[j] - m) > tau_th or taus[j] < m:
             decisions[j] = True
         elif taus[j] == m:

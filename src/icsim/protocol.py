@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 from .channel import Scripted, sample_delivery
 from .kinematics import (
+    APPROACH_LANES,
+    EXIT_LANES,
     UNREACHABLE,
     Route,
     VehicleEstimate,
@@ -40,7 +42,7 @@ class Mode:
 
 
 class Action:
-    NONE = "None"
+    NONE = ""
     INITIATE_MAINCTRL = "InitiateMainCtrl"
     SWITCH_TO_SD = "SwitchToSD"
     EXITED = "Exited"
@@ -370,13 +372,12 @@ def simulate_enter_round(
     The round runs until it resolves or for ``4*F + 16`` slots.
 
     Slots count from 1 (the first ENTER transmission). Message content is
-    synthetic; only the exchange dynamics matter here.
+    synthetic, each car going straight across from its own approach; only
+    the exchange dynamics matter here.
     """
     if F < 0:
         raise ValueError("F must be nonnegative")
     uids = tuple(range(1, n_vehicles + 1))
-    lanes = ("H1R", "H2R", "H3R", "H4R")
-    exits = ("H3L", "H4L", "H1L", "H2L")
     states: dict[int, ProtocolState] = {}
     for i, uid in enumerate(uids):
         st = ProtocolState(uid=uid, F=F)
@@ -384,8 +385,8 @@ def simulate_enter_round(
             set(uids) - {uid},
             EnterMessage(
                 uid=uid,
-                clane=lanes[i % 4],
-                nlane=exits[i % 4],
+                clane=APPROACH_LANES[i % 4],
+                nlane=EXIT_LANES[(i + 2) % 4],
                 tau_mti=10.0 + uid,
             ),
         )

@@ -18,8 +18,9 @@ Schema (version 1)::
                     "x": 62.0, "v": 13.0, "a": 0.0, "dx_bound": 0.0}]
     }
 
-The bundled scenarios are the files ``icsim/data/<name>.scenario.json``,
-each in the form ``save_scenario`` writes: ``fig5a`` .. ``fig5d`` reproduce
+A field left out, the channel included, takes its class's default. The
+bundled scenarios are the files ``icsim/data/<name>.scenario.json``, each
+in the form ``save_scenario`` writes: ``fig5a`` .. ``fig5d`` reproduce
 the four scripted failure scenarios and ``allloss`` is a total-blackout run.
 ``BUNDLED`` maps each name to a one-line description.
 """
@@ -35,15 +36,6 @@ from .sim import Scenario, ScenarioError, VehicleSpec
 
 SCHEMA_VERSION = 1
 
-_PARAM_FIELDS = (
-    "tau_th",
-    "epsilon",
-    "sigma_x",
-    "d_margin",
-    "sensing_radius",
-    "resume_accel",
-)
-
 
 def channel_from_dict(d: dict) -> ChannelModel:
     model = CHANNEL_TYPES.get(d.get("type"))
@@ -52,8 +44,8 @@ def channel_from_dict(d: dict) -> ChannelModel:
     return model.from_dict(d, _number, _integer)
 
 
-def _object(data: dict, key: str, default=None) -> dict:
-    value = data.get(key, default or {})
+def _object(data: dict, key: str) -> dict:
+    value = data.get(key, {})
     if not isinstance(value, dict):
         raise ScenarioError(f"{key} must be a JSON object")
     return value
@@ -73,39 +65,41 @@ def _integer(value, name: str) -> int:
     raise ScenarioError(f"{name} must be an integer")
 
 
+# Each field's reader, one table per level: the top level and "params"
+# (Scenario's fields), "geometry", and one vehicle besides its route's
+# "clane" and "nlane". The channel model reads its own fields.
+_TOP = dict(T=_number, F=_integer, R=_number, seed=_integer, max_slots=_integer)
+_PARAMS = dict.fromkeys(("tau_th", "epsilon", "sigma_x", "d_margin", "sensing_radius",
+                         "resume_accel"), _number)
+_GEOMETRY = dict(x_s=_number, w=_number)
+_VEHICLE = dict(uid=_integer, x=_number, v=_number, a=_number, dx_bound=_number, x_est=_number)
+
+
+def _read(data: dict, readers: dict) -> dict:
+    """The fields of ``readers`` that ``data`` holds, each read by its reader."""
+    return {k: read(data[k], k) for k, read in readers.items() if k in data}
+
+
+def _fields(obj, readers: dict) -> dict:
+    """``obj``'s fields named in ``readers``, leaving out a None."""
+    return {k: value for k in readers if (value := getattr(obj, k)) is not None}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         if data.get("schema") != SCHEMA_VERSION:
             raise ScenarioError(
                 f"unsupported schema version {data.get('schema')!r}"
             )
-        geo = _object(data, "geometry")
-        geometry = IntersectionGeometry(
-            x_s=_number(geo.get("x_s", 200.0), "x_s"), w=_number(geo.get("w", 3.5), "w")
-        )
-        params = _object(data, "params")
-        vehicles = tuple(
-            VehicleSpec(
-                uid=_integer(v["uid"], "uid"),
-                route=Route(v["clane"], v["nlane"]),
-                x=_number(v["x"], "x"),
-                v=_number(v["v"], "v"),
-                a=_number(v.get("a", 0.0), "a"),
-                dx_bound=_number(v.get("dx_bound", 0.0), "dx_bound"),
-                x_est=_number(v["x_est"], "x_est") if "x_est" in v else None,
-            )
-            for v in data["vehicles"]
-        )
-        kwargs = {k: _number(params[k], k) for k in _PARAM_FIELDS if k in params}
+        kwargs = _read(data, _TOP) | _read(_object(data, "params"), _PARAMS)
+        if "channel" in data:
+            kwargs["channel"] = channel_from_dict(_object(data, "channel"))
         scenario = Scenario(
-            vehicles=vehicles,
-            geometry=geometry,
-            channel=channel_from_dict(_object(data, "channel", {"type": "perfect"})),
-            T=_number(data.get("T", 0.1), "T"),
-            F=_integer(data.get("F", 30), "F"),
-            R=_number(data.get("R", 500.0), "R"),
-            max_slots=_integer(data.get("max_slots", 400), "max_slots"),
-            seed=_integer(data.get("seed", 0), "seed"),
+            vehicles=tuple(
+                VehicleSpec(route=Route(v["clane"], v["nlane"]), **_read(v, _VEHICLE))
+                for v in data["vehicles"]
+            ),
+            geometry=IntersectionGeometry(**_read(_object(data, "geometry"), _GEOMETRY)),
             **kwargs,
         )
     except ScenarioError:
@@ -134,25 +128,12 @@ def _known_fields(data, form) -> None:
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "T": s.T,
-        "F": s.F,
-        "R": s.R,
-        "seed": s.seed,
-        "max_slots": s.max_slots,
-        "geometry": {"x_s": s.geometry.x_s, "w": s.geometry.w},
+        **_fields(s, _TOP),
+        "geometry": _fields(s.geometry, _GEOMETRY),
         "channel": s.channel.to_dict(),
-        "params": {k: getattr(s, k) for k in _PARAM_FIELDS},
+        "params": _fields(s, _PARAMS),
         "vehicles": [
-            {
-                "uid": v.uid,
-                "clane": v.route.clane,
-                "nlane": v.route.nlane,
-                "x": v.x,
-                "v": v.v,
-                "a": v.a,
-                "dx_bound": v.dx_bound,
-                **({"x_est": v.x_est} if v.x_est is not None else {}),
-            }
+            {"clane": v.route.clane, "nlane": v.route.nlane, **_fields(v, _VEHICLE)}
             for v in s.vehicles
         ],
     }

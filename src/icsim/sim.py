@@ -69,7 +69,7 @@ class VehicleSpec:
     route: Route
     x: float
     v: float
-    a: float
+    a: float = 0.0
     dx_bound: float = 0.0
     x_est: float | None = None
 
@@ -144,6 +144,15 @@ class Scenario:
             step = v.v * self.T
             if v.v > 0 and (step == 0 or not math.isfinite(self.R / step)):
                 raise ScenarioError(f"vehicle {v.uid} is too slow: R / (v*T) is not finite")
+            # a car with a <= 0 never passes its speed v, and one with a > 0
+            # gains speed at max(a, resume_accel) at most: u bounds its speed on
+            # its path, and a step of at most w leaves a slot's end in every cell
+            u = v.v
+            if v.a > 0:
+                to_exit = self.geometry.path_exit(v.route) - v.x
+                u = math.sqrt(v.v * v.v + 2.0 * max(v.a, self.resume_accel) * to_exit)
+            if u * self.T > self.geometry.w:
+                raise ScenarioError(f"vehicle {v.uid} is too fast: a step of u*T > w could skip a cell")
 
 
 class SlotRecord(NamedTuple):
@@ -187,10 +196,10 @@ class SimTrace:
     slots_run: int
 
 
-# Heading unit vectors per approach (0..3 counterclockwise) and the turn
-# applied to them at the center, used only for inter-vehicle distances.
+# Heading unit vectors per approach (0..3 counterclockwise), used only for
+# inter-vehicle distances; a car leaves on the heading of approach
+# ``approach + turn - 2``.
 _HEADINGS = ((0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0))
-_TURN = {"right": -1, "straight": 0, "left": 1}
 
 
 def _position_2d(veh: _Vehicle, x_s: float) -> tuple[float, float]:
@@ -238,7 +247,7 @@ class _Vehicle:
         self.x_col = geo.x_col
         self.exit_x = geo.path_exit(route)
         self.heading_in = _HEADINGS[route.approach]
-        self.heading_out = _HEADINGS[(route.approach + _TURN[route.maneuver]) % 4]
+        self.heading_out = _HEADINGS[(route.approach + route.turn - 2) % 4]
         self.x = spec.x
         self.x_est = spec.est_x
         self.v = spec.v
@@ -575,7 +584,7 @@ def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
         # a re-entered yielder keeps holding at its collision boundary
         # while the fresh handshake runs
         veh.control = ("stop_at", veh.guard_x)
-    return io.outbox, "" if io.action is Action.NONE else io.action
+    return io.outbox, io.action
 
 
 def _apply_verdict(veh: _Vehicle, scenario, slot, events):

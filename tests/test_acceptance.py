@@ -21,7 +21,7 @@ from icsim.analytics import (
     v2v_probability,
 )
 from icsim.channel import CorrelatedBurst, DistanceIID, Scripted, pdr
-from icsim.cli import EXIT_OK, main
+from icsim.cli import DIAGRAM_CASES, EXIT_OK, main
 from icsim.kinematics import IntersectionGeometry, Route, collision_area
 from icsim.protocol import closed_form_enter_delay, simulate_enter_round
 from icsim.scenarios import bundled_scenario
@@ -99,14 +99,8 @@ def loss_patterns(uids, first_slot, window, max_losses):
 class TestCriterion1TimeDiagrams:
     def test_slot_exact_reproduction(self):
         start = time.perf_counter()
-        cases = [
-            ((0, 0), set(), 3),
-            ((0, 1), {(2, 1)}, 5),
-            ((0, 3), {(2, 1), (2, 2), (2, 3)}, 7),
-            ((2, 2), {(1, 1), (1, 2), (2, 1), (2, 2)}, 5),
-        ]
-        for label, losses, t_en in cases:
-            res = simulate_enter_round(2, F=8, losses=losses)
+        for (label, losses), t_en in zip(DIAGRAM_CASES, (3, 5, 7, 5), strict=True):
+            res = simulate_enter_round(2, F=8, losses=set(losses))
             assert res.resolution_slot() == t_en, label
             assert res.agreed(), f"{label}: both vehicles must initiate together"
         # the same scenarios through the full engine
@@ -131,6 +125,12 @@ class TestCriterion2ClosedFormEquivalence:
                 )
                 want = closed_form_enter_delay(F, {1: 0, 2: f})
                 assert res.resolution_slot() == want, (F, f)
+                if 2 * ((f + 1) // 2) <= F:
+                    # tolerated burst: consensus completes, in the same slot
+                    assert res.agreed(), (F, f)
+                else:
+                    # past tolerance: resolved by the sensor fallback instead
+                    assert set(res.mainctrl_slot.values()) == {None}, (F, f)
                 checked += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0

@@ -275,25 +275,20 @@ class TestBurstLengthPmf:
 
     def test_empirical_burst_histogram_iid(self):
         # run one receiver for >= 1e6 slots and compare burst-length counts
-        # against the geometric law, bin by bin, within 3 sigma
+        # against the geometric law, bin by bin, within 3 sigma; the model
+        # draws once per link in link order, whatever the slot, so one call
+        # over n_slots links draws what n_slots one-link slots would
         lam, d = 0.0013, 300.0
         p = pdr(d, lam)
-        model = DistanceIID(lam=lam)
         rng = np.random.default_rng(2024)
         n_slots = 1_200_000
-        bursts = []
-        run = 0
-        for s in range(n_slots):
-            if deliver(model, rng, slot=s, d=d):
-                bursts.append(run)
-                run = 0
-            else:
-                run += 1
+        oks = DistanceIID(lam=lam).delivers(2, 1, [(1, d)] * n_slots, False, rng)
+        ends = np.flatnonzero(oks)  # each delivery ends the burst before it
+        bursts = np.diff(ends, prepend=-1) - 1
         n = len(bursts)
         counts = np.bincount(bursts, minlength=8)
         for m in range(6):
-            expect = n * burst_length_pmf(p, None, m) / p * p  # P(f=m) given a delivery ends each burst
-            pm = (1 - p) ** m * p
+            pm = (1 - p) ** m * p  # P(f=m) given a delivery ends each burst
             sigma = math.sqrt(n * pm * (1 - pm))
             assert abs(counts[m] - n * pm) < 3 * sigma, f"bin {m}"
 

@@ -157,6 +157,9 @@ class TestMalformedScenario:
             # car would announce an unreachable arrival time
             (("vehicles", 0, "a"), 1e306),
             (("vehicles", 0, "v"), 1e308),
+            # a step of more than a cell width per slot could skip a cell
+            (("vehicles", 0, "v"), 100.0),
+            (("vehicles", 0, "v"), 36.0),
             # the integer fields take only integral numbers, named in the error
             (("F",), 2.7),
             (("F",), True),

@@ -19,6 +19,7 @@ from icsim.scenarios import (
 from icsim.sim import Scenario, VehicleSpec
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "icsim" / "data"
+TEST_FILES = sorted((Path(__file__).resolve().parent / "scenarios").glob("*.scenario.json"))
 
 
 class TestRoundTrip:
@@ -35,6 +36,15 @@ class TestRoundTrip:
             seed=3,
         )
         assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    def test_left_out_fields_take_the_class_defaults(self):
+        # the channel included: a file without one runs on Perfect()
+        data = {
+            "schema": 1,
+            "vehicles": [{"uid": 1, "clane": "H1R", "nlane": "H3L", "x": 90.0, "v": 12.0}],
+        }
+        spec = VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=90.0, v=12.0)
+        assert scenario_from_dict(data) == Scenario(vehicles=(spec,))
 
     def test_file_round_trip(self, tmp_path):
         s = bundled_scenario("fig5c")
@@ -58,6 +68,11 @@ class TestBundledFiles:
         path = DATA_DIR / f"{name}.scenario.json"
         assert path.exists(), f"missing bundled file {path}"
         save_scenario(bundled_scenario(name), tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+    def test_regression_file_is_in_canonical_form(self, path, tmp_path):
+        save_scenario(load_scenario(path), tmp_path / "s.json")
         assert (tmp_path / "s.json").read_bytes() == path.read_bytes()
 
     def test_every_shipped_file_is_bundled(self):

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from icsim.channel import DistanceIID, Perfect, Scripted
-from icsim.kinematics import EXIT_LANES, IntersectionGeometry, Route, path_cell
+from icsim.kinematics import EXIT_LANES, OCCUPANCY, IntersectionGeometry, Route, path_cell
 from icsim.protocol import Mode, SensorSnapshot, planned_tau
 from icsim.scenarios import bundled_scenario
 from icsim.sim import (
@@ -26,7 +26,6 @@ from icsim.sim import (
     _Vehicle,
     check_safety,
     run_scenario,
-    write_trace_csv,
 )
 
 
@@ -169,13 +168,6 @@ class TestFallbackSafetyAndLiveness:
         trace = run_scenario(two_car(Scripted(losses=losses), F=F, max_slots=600))
         assert 0 < trace.summary["mixed_mode_window"] <= 2 * F + 2
 
-    def test_total_blackout_everyone_crosses(self):
-        trace = run_scenario(bundled_scenario("allloss"))
-        assert trace.summary["all_done"]
-        assert check_safety(trace) == []
-        v = trace.summary["vehicles"]
-        assert all(v[u]["fallback_slot"] is not None for u in v)
-
     def test_no_v2v_reentry_after_fallback(self):
         trace = run_scenario(bundled_scenario("allloss"))
         for uid in ("1", "2"):
@@ -186,28 +178,11 @@ class TestFallbackSafetyAndLiveness:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ["fig5a", "fig5b", "allloss"])
-    def test_byte_identical_traces(self, name, tmp_path):
-        paths = []
-        for i in (0, 1):
-            trace = run_scenario(bundled_scenario(name))
-            p = tmp_path / f"{name}_{i}.csv"
-            write_trace_csv(trace, p)
-            paths.append(p)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
     def test_seed_matters_for_random_channel(self):
-        from icsim.channel import DistanceIID
-
         base = two_car(DistanceIID(lam=0.004), max_slots=600)
         t1 = run_scenario(base)
-        t2 = run_scenario(dataclasses.replace(base, seed=1))
-        # different seeds are allowed to produce different traces
-        d1 = t1.summary["vehicles"]["2"]["enter_delay"]
-        d2 = t2.summary["vehicles"]["2"]["enter_delay"]
-        t1b = run_scenario(base)
-        assert t1.summary == t1b.summary
-        assert (d1, d2) is not None  # smoke: both ran to completion
+        assert run_scenario(base).rows == t1.rows
+        assert run_scenario(dataclasses.replace(base, seed=1)).rows != t1.rows
 
 
 class TestKinematicExactness:
@@ -381,12 +356,21 @@ class TestRouteFacts:
     """The route facts a car resolves once from the geometry give the same
     cells, exit and positions as the geometry itself."""
 
-    ROUTES = sorted(IntersectionGeometry().occupancy_table)
+    ROUTES = sorted(OCCUPANCY)
     GEOMETRIES = [IntersectionGeometry(), IntersectionGeometry(x_s=150.0, w=4.5)]
 
     @staticmethod
     def car(route, geo):
         return _Vehicle(VehicleSpec(uid=1, route=route, x=0.0, v=10.0, a=0.0), F=3, geo=geo)
+
+    @pytest.mark.parametrize("cl, nl", ROUTES)
+    def test_turn_counts_the_quadrants_swept(self, cl, nl):
+        # 1 right, 2 straight, 3 left: a path starts in its approach's own
+        # quadrant and sweeps one more, counterclockwise, per quarter turn
+        route = Route(cl, nl)
+        quadrants = [int(cell[1:]) - 1 for cell in OCCUPANCY[cl, nl]]
+        assert route.turn == len(quadrants)
+        assert quadrants == [(route.approach + i) % 4 for i in range(route.turn)]
 
     @pytest.mark.parametrize("geo", GEOMETRIES, ids=["default", "wide"])
     @pytest.mark.parametrize("cl, nl", ROUTES)
@@ -512,6 +496,32 @@ class TestScenarioValidation:
         base = dataclasses.replace(bundled_scenario("fig5b"), channel=DistanceIID(0.0013))
         with pytest.raises(ScenarioError, match=f"^{field} must be an integer$"):
             dataclasses.replace(base, **{field: value})
+
+    @pytest.mark.parametrize(
+        "v, a, refused",
+        [
+            (35.0, 0.0, False),  # 3.5 m = w per slot
+            (36.0, 0.0, True),
+            (30.0, -5.0, False),  # a braking car never passes v
+            # gaining speed at resume_accel (2 m/s^2, above a) over the
+            # 101.5 m to its exit, 30 m/s reaches 36.1 and 25 m/s 32.1
+            (30.0, 0.5, True),
+            (25.0, 0.5, False),
+        ],
+    )
+    def test_a_car_that_could_skip_a_cell_is_refused(self, v, a, refused):
+        base = bundled_scenario("fig5b")
+        vehicles = (dataclasses.replace(base.vehicles[0], v=v, a=a), *base.vehicles[1:])
+        if refused:
+            with pytest.raises(ScenarioError, match="^vehicle 1 is too fast: "):
+                dataclasses.replace(base, vehicles=vehicles)
+            return
+        trace = run_scenario(dataclasses.replace(base, vehicles=vehicles))
+        assert trace.summary["all_done"] and trace.violations == []
+        # an accepted car is logged in every cell of its path
+        for spec in vehicles:
+            logged = {r.occupancy for r in trace.rows if r.uid == spec.uid} - {""}
+            assert logged == set(base.geometry.occupancy(spec.route))
 
     @pytest.mark.parametrize("uid", [1.5, 7.0, True])
     def test_vehicle_uid_must_be_an_int(self, uid):
