@@ -213,13 +213,16 @@ def priority_decision(
 ) -> PriorityVerdict:
     """First-come-first-served proceed/yield verdict over exchanged arrival times.
 
-    A vehicle proceeds if its collision set is empty, if its arrival time is
-    separated from the closest competitor by more than ``tau_th`` (temporal
-    separation makes co-occupancy impossible), if it is strictly first, or on
-    an exact arrival-time tie when it carries the largest uid among the tied
-    vehicles. Ties compare the exchanged values exactly: every participant
-    decides on identical message contents, so float equality is consistent
-    across vehicles.
+    A vehicle proceeds if its collision set is empty; otherwise it compares
+    its arrival time only with the earliest other arrival, and proceeds if it
+    is strictly first, more than ``tau_th`` after that one, or tied with it
+    exactly and carrying the largest uid among the tied vehicles. Ties compare
+    the exchanged values exactly: every participant decides on identical
+    message contents, so float equality is consistent across vehicles. The
+    rule is unsound: two later cars can both proceed through a shared cell
+    (``fault_priority_min``), and slow cars more than ``tau_th`` apart can
+    share one (``fault_slow_pair``); see the strict xfails ``TestVerdictSoundness``
+    and ``TestSeparationWindows`` in tests/test_kinematics.py, and ROADMAP items 1-2.
     """
     if tau_th <= 0:
         raise ValueError("tau_th must be positive")

@@ -60,13 +60,11 @@ class EnterMessage:
     clane: str
     nlane: str
     tau_mti: float
-    msg_type: str = "ENTER"
 
 
 @dataclass(frozen=True)
 class AckMessage:
     uid: int
-    msg_type: str = "ACK"
 
 
 V2VMessage = EnterMessage | AckMessage

@@ -87,10 +87,9 @@ def _fields(obj, readers: dict) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        if data.get("schema") != SCHEMA_VERSION:
-            raise ScenarioError(
-                f"unsupported schema version {data.get('schema')!r}"
-            )
+        schema = data.get("schema")
+        if type(schema) is bool or schema != SCHEMA_VERSION:  # True == 1
+            raise ScenarioError(f"unsupported schema version {schema!r}")
         kwargs = _read(data, _TOP) | _read(_object(data, "params"), _PARAMS)
         if "channel" in data:
             kwargs["channel"] = channel_from_dict(_object(data, "channel"))

@@ -36,6 +36,7 @@ from .kinematics import (
 )
 from .protocol import (
     Action,
+    EnterMessage,
     Mode,
     ProtocolState,
     SDDecision,
@@ -53,7 +54,6 @@ from .protocol import (
 STOP_MARGIN = 0.5
 #: A speed at or below this is rest: ``_integrate`` stops the car there.
 REST_SPEED = 1e-12
-_CRUISE = ("cruise",)
 _NO_MAIL: frozenset = frozenset()
 # the modes in which a car's signal lights show it competing for the box
 _SIGNALLING = (Mode.V2V_ENTER, Mode.AWAIT_EXIT, Mode.CROSSING)
@@ -228,7 +228,6 @@ class _Vehicle:
         "v_des",
         "a_des",
         "proto",
-        "control",
         "triggered",
         "pending_inbox",
         "prior_lost",
@@ -256,7 +255,6 @@ class _Vehicle:
         self.v_des = spec.v if spec.a <= 0.0 else math.inf
         self.a_des = spec.a
         self.proto = ProtocolState(uid=spec.uid, F=F)
-        self.control = ("cruise",)
         self.triggered = False
         self.pending_inbox: frozenset = frozenset()
         self.prior_lost = False
@@ -323,8 +321,8 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                 out, actions[uid] = _protocol_phase(veh, snap, scenario, slot, events)
                 if out:
                     outboxes[uid] = out
-            # any other car keeps its control, which its step would only set
-            # again: done, untriggered, still yielding, or short of its line
+            # any other car (done, untriggered, still yielding, or short of
+            # its line) would change nothing by a step: its law is its mode's
         delivered, lost = (idle, idle) if not outboxes else _exchange(
             vehicles, outboxes, scenario, rngs, slot, pos
         )
@@ -337,7 +335,8 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         for veh in vehicles.values():
             uid = veh.uid
             veh.pending_inbox = delivered[uid]
-            a_eff = _apply_control(veh, scenario)
+            action = actions.get(uid, "")
+            a_eff = _apply_control(veh, scenario, action)
             _integrate(veh, a_eff, scenario.T, slot)
             cell = path_cell(veh.cells, veh.x_col, w, veh.x) if veh.x >= veh.x_col else None
             if cell is not None:
@@ -356,7 +355,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                     _wire(sent) if (sent := outboxes.get(uid)) else "",
                     _wire(got) if (got := delivered[uid]) else "",
                     _wire(missed) if (missed := lost[uid]) else "",
-                    cell or "", actions.get(uid, ""),
+                    cell or "", action,
                 ))
             if mode is Mode.DONE and cell is None and veh.x >= veh.exit_x:
                 inert.append(veh)
@@ -372,11 +371,11 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         if all_done:
             break
 
-    # an inert car's remaining rows: its own control, integrated alone
+    # an inert car's remaining rows: a done car cruises, integrated alone
     for veh in dropped if record else ():
         own = rows[veh.uid]
         for slot in range(len(own) + 1, slots_run + 1):
-            a_eff = _apply_control(veh, scenario)
+            a_eff = _apply_control(veh, scenario, "")
             _integrate(veh, a_eff, scenario.T, slot)
             own.append((
                 slot, veh.uid, Mode.DONE, veh.x, veh.v, a_eff, veh.proto.f, "", "", "", "", "",
@@ -415,7 +414,7 @@ def _sense(vehicles, scenario, pos) -> dict:
     slot, because it is in the box or stopped short of its line with its
     turn come, is marked with None. A waiting car that ``_held`` holds gets
     nothing. The cars given something step; every other car not in an
-    ENTER round keeps its control."""
+    ENTER round drives by the law its mode gives."""
     x_s = scenario.geometry.x_s
     r2 = scenario.sensing_radius**2
     need = []
@@ -508,12 +507,11 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
     every transition that reads its own state; returns its outbox and the
     trace's action column. ``snap`` is what ``_sense`` gave the car, or None."""
     mode = veh.proto.mode
-    veh.control = _CRUISE
 
     if mode is Mode.SD_APPROACH:
         # Overhearing an ENTER means an active round wants this vehicle:
         # join it rather than waiting for the signal lights to clear.
-        pulled = {m.uid for m in veh.pending_inbox if m.msg_type == "ENTER"}
+        pulled = {m.uid for m in veh.pending_inbox if isinstance(m, EnterMessage)}
         if pulled:
             veh.proto.reset_round(pulled | competitors(snap), build_enter(snap))
             events.append((slot, veh.uid, "SWITCH_V2V"))
@@ -521,12 +519,8 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
         veh.proto, decision = sd_main_step(veh.proto, snap)
         if decision is SDDecision.SWITCH_TO_V2V:
             events.append((slot, veh.uid, "SWITCH_V2V"))
-        elif decision is SDDecision.USE_SD_CROSS:
-            if veh.x_est >= veh.x_col:
-                _cross(veh, slot, events)
-        else:
-            # USE_SD_WAIT, the only other decision
-            veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
+        elif decision is SDDecision.USE_SD_CROSS and veh.x_est >= veh.x_col:
+            _cross(veh, slot, events)
         return _NO_MAIL, decision
 
     if mode is Mode.V2V_ENTER:
@@ -536,9 +530,6 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
         veh.proto = exit_step(veh.proto, snap)
         if veh.proto.mode is Mode.V2V_ENTER:
             events.append((slot, veh.uid, "REENTER"))
-            # hold at the collision boundary until the new round's verdict
-            if veh.guard_x is not None:
-                veh.control = ("stop_at", veh.guard_x)
         else:
             _cross(veh, slot, events)
         return _NO_MAIL, ""
@@ -566,8 +557,6 @@ def _exit_rule(veh: _Vehicle, slot, events) -> str:
 def _cross(veh: _Vehicle, slot, events) -> None:
     veh.proto.mode = Mode.CROSSING
     events.append((slot, veh.uid, "CROSS_START"))
-    veh.guard_x = None
-    veh.control = _CRUISE
 
 
 def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
@@ -579,11 +568,6 @@ def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
         _apply_verdict(veh, scenario, slot, events)
     elif io.action is Action.SWITCH_TO_SD:
         events.append((slot, veh.uid, "SWITCH_SD"))
-        veh.control = ("stop_at", veh.x_col - STOP_MARGIN)
-    elif veh.guard_x is not None:
-        # a re-entered yielder keeps holding at its collision boundary
-        # while the fresh handshake runs
-        veh.control = ("stop_at", veh.guard_x)
     return io.outbox, io.action
 
 
@@ -592,12 +576,9 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
     geo = scenario.geometry
     st = veh.proto
     entries = {
-        u: (Route(m.clane, m.nlane), m.tau_mti) for u, m in st.known_enters.items()
+        m.uid: (Route(m.clane, m.nlane), m.tau_mti)
+        for m in (*st.known_enters.values(), st.own_enter)
     }
-    entries[veh.uid] = (
-        Route(st.own_enter.clane, st.own_enter.nlane),
-        st.own_enter.tau_mti,
-    )
     verdict = priority_decision(entries, geo, scenario.tau_th)
     veh.proceed_uids = verdict.proceeding()
     if verdict.is_proceed(veh.uid):
@@ -614,7 +595,6 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
     else:
         veh.a_nopr = 0.0  # already at the boundary; the guard does the braking
     veh.guard_x = col_entry - STOP_MARGIN
-    veh.control = ("yield",)
 
 
 def _exchange(vehicles, outboxes, scenario, rngs, slot, pos):
@@ -657,22 +637,21 @@ def _wire(msgs: frozenset) -> str:
     return ";".join(sorted(encode_message(m) for m in msgs))
 
 
-def _apply_control(veh: _Vehicle, scenario) -> float:
-    kind = veh.control[0]
-    if kind == "cruise":
-        # Constant desired acceleration; a slowed or stopped vehicle first
-        # regains its cruise speed.
-        if veh.a_des <= 0.0 and veh.v < veh.v_des:
-            return _regain_accel(veh, scenario)
-        return veh.a_des
-    if kind == "stop_at":
-        return _approach_accel(veh, veh.control[1], scenario)
-    if kind == "yield":
-        a = veh.a_nopr
-        if veh.guard_x is not None:
-            a = min(a, _stop_accel(veh, veh.guard_x, scenario.T))
-        return a
-    raise RuntimeError(f"unknown control {veh.control!r}")
+def _apply_control(veh: _Vehicle, scenario, action: str) -> float:
+    """The car's acceleration this slot, by the law its mode and ``action``
+    (what its step returned this slot, ``""`` if it did not step) give. A
+    triggered approaching car steps every slot, so its decision is fresh."""
+    mode = veh.proto.mode
+    if mode is Mode.AWAIT_EXIT:  # yield by the verdict, stopping at the guard
+        return min(veh.a_nopr, _stop_accel(veh, veh.guard_x, scenario.T))
+    if mode is Mode.V2V_ENTER and veh.guard_x is not None:  # a re-entered yielder holds
+        return _approach_accel(veh, veh.guard_x, scenario)
+    if (mode is Mode.SD_FALLBACK and not veh.fallback_go) or action is SDDecision.USE_SD_WAIT:
+        return _approach_accel(veh, veh.x_col - STOP_MARGIN, scenario)
+    # cruise: a slowed or stopped vehicle first regains its cruise speed
+    if veh.a_des <= 0.0 and veh.v < veh.v_des:
+        return _regain_accel(veh, scenario)
+    return veh.a_des
 
 
 def _regain_accel(veh: _Vehicle, scenario) -> float:

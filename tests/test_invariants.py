@@ -81,14 +81,19 @@ def random_scenarios(draw):
             st.sampled_from(range(4)),  # approach
             st.sampled_from(range(1, 4)),  # departure lane offset
             st.floats(0.0, GEO.x_col, exclude_max=True),  # position
-            st.floats(0.0, 15.0),  # speed
-            st.floats(-1.0, 1.0),  # desired acceleration
+            # (speed, desired acceleration): a moving car, or one at rest
+            # that sets off (one at rest that does not never arrives)
+            st.one_of(
+                st.tuples(st.floats(1e-3, 15.0), st.floats(-1.0, 1.0)),
+                st.tuples(st.just(0.0), st.floats(1e-3, 1.0)),
+            ),
         ),
         min_size=1,
         max_size=4,
         unique_by=lambda car: car[0],
     ),
-    resume_accel=st.floats(1e-300, 5.0),
+    # just above the floor that lets a stopped car leave rest (1e-11 at T 0.1)
+    resume_accel=st.floats(1e-10, 5.0),
     lam=st.floats(0.0005, 0.01),
 )
 def test_any_scenario_that_constructs_runs(cars, resume_accel, lam):
@@ -96,7 +101,7 @@ def test_any_scenario_that_constructs_runs(cars, resume_accel, lam):
         scenario = Scenario(
             vehicles=tuple(
                 VehicleSpec(uid, Route(APPROACH_LANES[k], EXIT_LANES[(k + turn) % 4]), x, v, a)
-                for uid, (k, turn, x, v, a) in enumerate(cars, 1)
+                for uid, (k, turn, x, (v, a)) in enumerate(cars, 1)
             ),
             geometry=GEO,
             channel=DistanceIID(lam),
@@ -352,7 +357,7 @@ class TestStepping:
             mode = veh.proto.mode
             assert mode not in (Mode.CROSSING, Mode.DONE) and not veh.fallback_go
             # a waiting car that _held holds, a stopped fallback car among
-            # them, keeps its control
+            # them, does not step: it drives by the law its mode gives
             assert veh.uid not in held_now, (mode, veh.uid)
             # in an ENTER round, or given what its step reads: a snapshot, or
             # the mark of a fallback car in the box or whose turn has come

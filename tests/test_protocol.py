@@ -205,7 +205,8 @@ class TestEnterStepUnit:
     def test_first_slot_sends_enter(self):
         st, io = enter_step(self.fresh(), frozenset())
         assert st.t == 1
-        assert {m.msg_type for m in io.outbox} == {"ENTER"}
+        (msg,) = io.outbox
+        assert isinstance(msg, EnterMessage)
 
     def test_duplicate_delivery_is_idempotent(self):
         st = self.fresh()
@@ -223,7 +224,8 @@ class TestEnterStepUnit:
         msg = EnterMessage(uid=2, clane="H2R", nlane="H4L", tau_mti=9.0)
         st, io = enter_step(st, frozenset({msg}))
         assert st.ack_sent
-        assert {m.msg_type for m in io.outbox} == {"ACK"}
+        (msg,) = io.outbox
+        assert isinstance(msg, AckMessage)
 
     def test_late_joiner_folds_in_before_ack(self):
         st = self.fresh(peers=(2,))
@@ -268,7 +270,7 @@ class TestEnterStepUnit:
             st, io = enter_step(st, inbox)
             assert io.action is Action.NONE
             (msg,) = io.outbox
-            sent.append(msg.msg_type)
+            sent.append("ENTER" if isinstance(msg, EnterMessage) else "ACK")
         # the first ENTER, two failures before the ACK, the ACK, then five failures
         assert sent == ["ENTER"] * 3 + ["ACK", "ENTER", "ACK", "ENTER", "ACK", "ENTER"]
         assert st.f == 7

@@ -93,9 +93,11 @@ class TestBundledFiles:
 
 
 class TestValidationErrors:
-    def test_wrong_schema_version(self):
+    # True == 1 in Python, but a number field never takes true
+    @pytest.mark.parametrize("schema", [99, True, "1"])
+    def test_wrong_schema_version(self, schema):
         data = scenario_to_dict(bundled_scenario("fig5b"))
-        data["schema"] = 99
+        data["schema"] = schema
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
 

@@ -11,6 +11,7 @@ from icsim.kinematics import EXIT_LANES, OCCUPANCY, IntersectionGeometry, Route,
 from icsim.protocol import Mode, SensorSnapshot, planned_tau
 from icsim.scenarios import bundled_scenario
 from icsim.sim import (
+    STOP_MARGIN,
     Scenario,
     ScenarioError,
     SimTrace,
@@ -210,13 +211,17 @@ def _slowed_vehicle(x, v, v_des=10.0):
 
 
 class TestControl:
+    """Each control law, read off the car's mode: cruise (``CROSSING``), the
+    stop at the line, x_col - STOP_MARGIN = 196.0 here (``SD_FALLBACK``
+    before its turn), the yield and the hold at the guard."""
+
     scenario = two_car(Perfect())
 
-    def drive(self, veh, control, until, max_slots=400):
-        """Apply ``control`` slot by slot until ``until(veh)``; slots taken."""
-        veh.control = control
+    def drive(self, veh, mode, until, max_slots=400):
+        """Drive by ``mode``'s law slot by slot until ``until(veh)``; slots taken."""
+        veh.proto.mode = mode
         for slot in range(1, max_slots + 1):
-            _integrate(veh, _apply_control(veh, self.scenario), self.scenario.T, slot)
+            _integrate(veh, _apply_control(veh, self.scenario, ""), self.scenario.T, slot)
             if until(veh):
                 return slot
         raise AssertionError("control never reached its goal")
@@ -237,12 +242,12 @@ class TestControl:
             v_des=veh.v_des,
         )
         tau = planned_tau(snap)
-        slots = self.drive(veh, ("cruise",), lambda ve: ve.x >= x_s)
+        slots = self.drive(veh, Mode.CROSSING, lambda ve: ve.x >= x_s)
         assert (slots - 1) * self.scenario.T <= tau <= slots * self.scenario.T
 
     def test_overshoot_guard_stops_within_the_slot(self):
         veh = _slowed_vehicle(x=196.2, v=0.4)
-        assert self.drive(veh, ("stop_at", 196.0), lambda ve: ve.v == 0.0) == 1
+        assert self.drive(veh, Mode.SD_FALLBACK, lambda ve: ve.v == 0.0) == 1
         assert veh.x < self.scenario.geometry.x_col
 
     def test_slow_car_reaches_its_stop_line(self):
@@ -251,8 +256,33 @@ class TestControl:
         # v^2/(2*gap) would take over 200
         target = 196.0
         veh = _slowed_vehicle(x=target - 3.9, v=0.37)
-        assert self.drive(veh, ("stop_at", target), lambda ve: ve.v == 0.0) <= 35
+        assert self.drive(veh, Mode.SD_FALLBACK, lambda ve: ve.v == 0.0) <= 35
         assert veh.x == pytest.approx(target, abs=0.01)
+
+    @pytest.mark.parametrize("a_nopr", [0.0, -1.0, -4.0])
+    def test_yielder_brakes_by_its_verdict_short_of_the_collision_boundary(self, a_nopr):
+        # the guard sits STOP_MARGIN short of the first collision cell; the
+        # slot that ends at rest may pass the guard, never the cell
+        veh = _slowed_vehicle(x=170.0, v=10.0)
+        veh.a_nopr, veh.guard_x = a_nopr, 190.0
+        veh.proto.mode = Mode.AWAIT_EXIT
+        for slot in range(1, 400):
+            a = _apply_control(veh, self.scenario, "")
+            assert a <= a_nopr
+            _integrate(veh, a, self.scenario.T, slot)
+            assert veh.x < veh.guard_x + STOP_MARGIN
+            if veh.v == 0.0:
+                break
+        assert veh.v == 0.0
+        if a_nopr == 0.0:  # the guard alone brakes: the car rests at it
+            assert veh.x == pytest.approx(veh.guard_x, abs=0.01)
+
+    def test_reentered_yielder_comes_to_rest_at_its_guard(self):
+        # in the fresh round that follows a yield, the car holds at its guard
+        veh = _slowed_vehicle(x=170.0, v=10.0)
+        veh.guard_x = 190.0
+        self.drive(veh, Mode.V2V_ENTER, lambda ve: ve.v == 0.0)
+        assert veh.x == pytest.approx(veh.guard_x, abs=0.01)
 
 
 class TestExitRule:
@@ -289,7 +319,8 @@ class TestExitRule:
         assert _exit_rule(veh, 7, events) == ""
         assert veh.proto.mode is mode
         assert events == []
-        assert veh.control == ("cruise",)
+        # cruise: at its cruise speed, the car keeps it
+        assert _apply_control(veh, self.scenario, "") == veh.a_des == 0.0
 
     @pytest.mark.parametrize(
         "channel", [Perfect(), Scripted(all_lost=frozenset({1, 2}))], ids=["v2v", "fallback"]
