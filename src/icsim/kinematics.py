@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Sentinel returned when a vehicle can never reach the target position.
 UNREACHABLE = math.inf
@@ -36,14 +37,13 @@ class UnknownLaneError(ValueError):
     """Raised when a lane identifier is not one of the H1..H4 R/L lanes."""
 
 
-@dataclass(frozen=True)
-class VehicleEstimate:
+class VehicleEstimate(NamedTuple):
     """A vehicle's estimated 1D state with a position-error bound.
 
     ``x_hat`` is the estimated longitudinal position in meters, ``v`` the
     velocity in m/s, ``a`` the acceleration in m/s². ``dx_bound`` bounds the
     position error, so the worst-case (furthest forward) position is
-    ``x_hat + dx_bound``.
+    ``x_hat + dx_bound``; ``Scenario`` refuses a negative bound.
     """
 
     uid: int
@@ -51,10 +51,6 @@ class VehicleEstimate:
     v: float
     a: float
     dx_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.dx_bound < 0:
-            raise ValueError("dx_bound must be nonnegative")
 
     @property
     def x_max(self) -> float:
@@ -90,6 +86,14 @@ class Route:
     def turn(self) -> int:
         """Quarter turns counterclockwise: 1 right, 2 straight, 3 left."""
         return (EXIT_LANES.index(self.nlane) - self.approach) % 4
+
+
+#: One ``Route`` per (approach lane, exit lane) key of ``OCCUPANCY``.
+ROUTES = {key: Route(*key) for key in OCCUPANCY}
+#: The cells two routes share, for every ordered pair of ``OCCUPANCY`` keys.
+SHARED_CELLS = {
+    (a, b): frozenset(OCCUPANCY[a]).intersection(OCCUPANCY[b]) for a in OCCUPANCY for b in OCCUPANCY
+}
 
 
 @dataclass(frozen=True)
@@ -195,15 +199,11 @@ def collision_area(
     """
     if not routes:
         raise ValueError("at least one route required")
-    occ = {uid: set(geometry.occupancy(r)) for uid, r in routes.items()}
-    col: dict[int, frozenset[str]] = {}
-    for j in routes:
-        shared: set[str] = set()
-        for i in routes:
-            if i != j:
-                shared |= occ[j] & occ[i]
-        col[j] = frozenset(shared)
-    return col
+    keys = {uid: (r.clane, r.nlane) for uid, r in routes.items()}
+    return {
+        j: frozenset().union(*(SHARED_CELLS[kj, ki] for i, ki in keys.items() if i != j))
+        for j, kj in keys.items()
+    }
 
 
 def priority_decision(

@@ -16,7 +16,7 @@ delivered in the previous slot as its inbox.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .channel import Scripted, sample_delivery
@@ -54,16 +54,15 @@ class SDDecision:
     SWITCH_TO_V2V = "SwitchToV2V"
 
 
-@dataclass(frozen=True)
-class EnterMessage:
+# immutable tuples, cheap to build and hash; an ENTER never equals an ACK
+class EnterMessage(NamedTuple):
     uid: int
     clane: str
     nlane: str
     tau_mti: float
 
 
-@dataclass(frozen=True)
-class AckMessage:
+class AckMessage(NamedTuple):
     uid: int
 
 
@@ -168,7 +167,9 @@ def planned_tau(snapshot: SensorSnapshot) -> float:
             rest = snapshot.x_s - est.x_hat - d_ramp
             if rest > 0:
                 return (v_des - est.v) / ra + rest / v_des
-    tau = mean_time_to_intersection(replace(est, a=a), snapshot.x_s)
+    tau = mean_time_to_intersection(
+        VehicleEstimate(est.uid, est.x_hat, est.v, a, est.dx_bound), snapshot.x_s
+    )
     if tau == UNREACHABLE:
         raise ValueError(
             f"vehicle {est.uid} cannot reach the intersection under its plan"
@@ -269,19 +270,16 @@ def _absorb(state: ProtocolState, inbox) -> None:
     # ACK counts only once its sender's ENTER is held: an acknowledgment is
     # meaningless without the content it acknowledges, and the
     # retransmission pairing guarantees another copy follows the ENTER.
-    for msg in sorted(
-        (m for m in inbox if isinstance(m, EnterMessage)), key=lambda m: m.uid
-    ):
-        if msg.uid not in state.expected_peers:
-            if state.ack_sent or state.known_acks:
-                continue
+    if not inbox:
+        return
+    acks = []
+    for msg in sorted(inbox):  # records are tuples: by uid first
+        if isinstance(msg, AckMessage):
+            acks.append(msg.uid)
+        elif msg.uid in state.expected_peers or not (state.ack_sent or state.known_acks):
             state.expected_peers.add(msg.uid)
-        state.known_enters[msg.uid] = msg
-    for msg in sorted(
-        (m for m in inbox if isinstance(m, AckMessage)), key=lambda m: m.uid
-    ):
-        if msg.uid in state.expected_peers and msg.uid in state.known_enters:
-            state.known_acks.add(msg.uid)
+            state.known_enters[msg.uid] = msg
+    state.known_acks.update(u for u in acks if u in state.expected_peers and u in state.known_enters)
 
 
 def _register_failure(

@@ -26,7 +26,9 @@ from typing import NamedTuple
 
 from .channel import ChannelModel, Perfect, ReceiverStream, sample_delivery
 from .kinematics import (
+    ROUTES,
     IntersectionGeometry,
+    PriorityVerdict,
     Route,
     VehicleEstimate,
     enter_trigger,
@@ -265,13 +267,7 @@ class _Vehicle:
         self.stopped_since: int | None = None
 
     def estimate(self) -> VehicleEstimate:
-        return VehicleEstimate(
-            uid=self.uid,
-            x_hat=self.x_est,
-            v=self.v,
-            a=self.a_des,
-            dx_bound=self.spec.dx_bound,
-        )
+        return VehicleEstimate(self.uid, self.x_est, self.v, self.a_des, self.spec.dx_bound)
 
 
 def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
@@ -304,6 +300,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     mixed_window = 0
     slots_run = 0
     idle = dict.fromkeys(uids, _NO_MAIL)
+    verdicts: dict[frozenset, PriorityVerdict] = {}  # by view, for this run only
 
     for slot in range(1, scenario.max_slots + 1):
         slots_run = slot
@@ -318,7 +315,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                 actions[uid] = _exit_rule(veh, slot, events)
             elif mode is Mode.V2V_ENTER or uid in snapshots:
                 snap = snapshots.get(uid)
-                out, actions[uid] = _protocol_phase(veh, snap, scenario, slot, events)
+                out, actions[uid] = _protocol_phase(veh, snap, scenario, slot, events, verdicts)
                 if out:
                     outboxes[uid] = out
             # any other car (done, untriggered, still yielding, or short of
@@ -502,10 +499,11 @@ def _in_range(pos, a: int, b: int, r2: float) -> bool:
     return dx * dx + dy * dy <= r2
 
 
-def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozenset, str]:
+def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events, verdicts) -> tuple[frozenset, str]:
     """Run one vehicle's protocol step, in a slot that can change it, and
     every transition that reads its own state; returns its outbox and the
-    trace's action column. ``snap`` is what ``_sense`` gave the car, or None."""
+    trace's action column. ``snap`` is what ``_sense`` gave the car, or None;
+    ``verdicts`` is the run's verdict per view (see ``_apply_verdict``)."""
     mode = veh.proto.mode
 
     if mode is Mode.SD_APPROACH:
@@ -515,7 +513,7 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
         if pulled:
             veh.proto.reset_round(pulled | competitors(snap), build_enter(snap))
             events.append((slot, veh.uid, "SWITCH_V2V"))
-            return _v2v_step(veh, scenario, slot, events)
+            return _v2v_step(veh, scenario, slot, events, verdicts)
         veh.proto, decision = sd_main_step(veh.proto, snap)
         if decision is SDDecision.SWITCH_TO_V2V:
             events.append((slot, veh.uid, "SWITCH_V2V"))
@@ -524,7 +522,7 @@ def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events) -> tuple[frozen
         return _NO_MAIL, decision
 
     if mode is Mode.V2V_ENTER:
-        return _v2v_step(veh, scenario, slot, events)
+        return _v2v_step(veh, scenario, slot, events, verdicts)
 
     if mode is Mode.AWAIT_EXIT:
         veh.proto = exit_step(veh.proto, snap)
@@ -559,37 +557,38 @@ def _cross(veh: _Vehicle, slot, events) -> None:
     events.append((slot, veh.uid, "CROSS_START"))
 
 
-def _v2v_step(veh: _Vehicle, scenario, slot, events) -> tuple[frozenset, str]:
+def _v2v_step(veh: _Vehicle, scenario, slot, events, verdicts) -> tuple[frozenset, str]:
     if veh.proto.t == 0:
         events.append((slot, veh.uid, "FIRST_ENTER"))
     veh.proto, io = enter_step(veh.proto, veh.pending_inbox)
     if io.action is Action.INITIATE_MAINCTRL:
         events.append((slot, veh.uid, "MAINCTRL"))
-        _apply_verdict(veh, scenario, slot, events)
+        _apply_verdict(veh, scenario, slot, events, verdicts)
     elif io.action is Action.SWITCH_TO_SD:
         events.append((slot, veh.uid, "SWITCH_SD"))
     return io.outbox, io.action
 
 
-def _apply_verdict(veh: _Vehicle, scenario, slot, events):
-    """Turn a completed consensus into a crossing or yielding regime."""
-    geo = scenario.geometry
+def _apply_verdict(veh: _Vehicle, scenario, slot, events, verdicts):
+    """Turn a completed consensus into a crossing or yielding regime. The
+    verdict depends only on the view (the ENTER set decided on), so it is
+    computed once per view in a run and kept in ``verdicts``."""
     st = veh.proto
-    entries = {
-        m.uid: (Route(m.clane, m.nlane), m.tau_mti)
-        for m in (*st.known_enters.values(), st.own_enter)
-    }
-    verdict = priority_decision(entries, geo, scenario.tau_th)
+    view = frozenset((*st.known_enters.values(), st.own_enter))
+    verdict = verdicts.get(view)
+    if verdict is None:
+        entries = {m.uid: (ROUTES[m.clane, m.nlane], m.tau_mti) for m in view}
+        verdict = verdicts[view] = priority_decision(entries, scenario.geometry, scenario.tau_th)
     veh.proceed_uids = verdict.proceeding()
     if verdict.is_proceed(veh.uid):
         _cross(veh, slot, events)
         return
     st.mode = Mode.AWAIT_EXIT
     my_col = verdict.collision[veh.uid]
-    first_cell = next(c for c in veh.cells if c in my_col)
-    col_entry = geo.cell_entry(veh.route, first_cell)
+    first = next(i for i, c in enumerate(veh.cells) if c in my_col)
+    col_entry = veh.x_col + first * scenario.geometry.w  # IntersectionGeometry.cell_entry
     est = veh.estimate()
-    D = geo.w + scenario.d_margin
+    D = scenario.geometry.w + scenario.d_margin
     if col_entry > est.x_max:
         veh.a_nopr = yield_acceleration(est, veh.a_des, col_entry, D)
     else:
@@ -599,37 +598,37 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events):
 
 def _exchange(vehicles, outboxes, scenario, rngs, slot, pos):
     """Deliver this slot's outboxes, one per car that sends, through the
-    channel model to the listening cars still driven (``vehicles``)."""
-    x_s = scenario.geometry.x_s
+    channel model to the listening cars still driven (``vehicles``). A
+    sender farther than ``R`` is lost to the receiver without a draw."""
+    R = scenario.R
     model = scenario.channel
-    delivered = {u: set() for u in vehicles}
-    lost = {u: set() for u in vehicles}
+    _positions(pos, vehicles, scenario.geometry.x_s)
+    delivered = dict.fromkeys(vehicles, _NO_MAIL)
+    lost = dict.fromkeys(vehicles, _NO_MAIL)
     for r_uid, recv in vehicles.items():
         mode = recv.proto.mode
         listening = mode is Mode.V2V_ENTER or (mode is Mode.SD_APPROACH and recv.triggered)
         if not listening:
             continue
-        links = []
-        _positions(pos, vehicles, x_s)
+        links, far = [], []
         rx, ry = pos[r_uid]
         for s_uid, msgs in outboxes.items():
             if s_uid == r_uid:
                 continue
             sx, sy = pos[s_uid]
             d = math.hypot(rx - sx, ry - sy)
-            if d > scenario.R:
-                lost[r_uid] |= msgs
-                continue
-            links.append((s_uid, d))
+            if d > R:
+                far += msgs
+            else:
+                links.append((s_uid, d))
         got, missed, recv.prior_lost = sample_delivery(
             model, r_uid, slot, links, outboxes, recv.prior_lost, rngs.get(r_uid)
         )
-        delivered[r_uid] |= got
-        lost[r_uid] |= missed
-    return (
-        {u: frozenset(delivered[u]) for u in vehicles},
-        {u: frozenset(lost[u]) for u in vehicles},
-    )
+        if got:
+            delivered[r_uid] = frozenset(got)
+        if missed or far:
+            lost[r_uid] = frozenset((*missed, *far))
+    return delivered, lost
 
 
 def _wire(msgs: frozenset) -> str:
