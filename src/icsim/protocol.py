@@ -167,9 +167,7 @@ def planned_tau(snapshot: SensorSnapshot) -> float:
             rest = snapshot.x_s - est.x_hat - d_ramp
             if rest > 0:
                 return (v_des - est.v) / ra + rest / v_des
-    tau = mean_time_to_intersection(
-        VehicleEstimate(est.uid, est.x_hat, est.v, a, est.dx_bound), snapshot.x_s
-    )
+    tau = mean_time_to_intersection(est._replace(a=a), snapshot.x_s)
     if tau == UNREACHABLE:
         raise ValueError(
             f"vehicle {est.uid} cannot reach the intersection under its plan"

@@ -641,7 +641,7 @@ def _apply_control(veh: _Vehicle, scenario, action: str) -> float:
     (what its step returned this slot, ``""`` if it did not step) give. A
     triggered approaching car steps every slot, so its decision is fresh."""
     mode = veh.proto.mode
-    if mode is Mode.AWAIT_EXIT:  # yield by the verdict, stopping at the guard
+    if mode is Mode.AWAIT_EXIT:  # yield by the verdict, braking to rest near the guard
         return min(veh.a_nopr, _stop_accel(veh, veh.guard_x, scenario.T))
     if mode is Mode.V2V_ENTER and veh.guard_x is not None:  # a re-entered yielder holds
         return _approach_accel(veh, veh.guard_x, scenario)
@@ -677,17 +677,21 @@ def _approach_accel(veh: _Vehicle, target: float, scenario) -> float:
 
 
 def _stop_accel(veh: _Vehicle, target: float, T: float) -> float:
+    """Brake at ``v*v / (2*gap)``, the rate that rests at ``target`` if held.
+    Not a hard stop: where that crosses zero speed, ``_integrate`` ends the
+    slot at rest ``v*T/2 - gap`` past ``target``, which ``STOP_MARGIN`` absorbs."""
     gap = target - veh.x
     if veh.v <= 0.0:
         return 0.0
     if gap <= 0.0:
-        return -veh.v / T  # overshoot guard: come to rest within this slot
+        return -veh.v / T  # past the target already: come to rest within this slot
     return -(veh.v * veh.v) / (2.0 * gap)
 
 
 def _integrate(veh: _Vehicle, a: float, T: float, slot: int) -> float:
     # Exact per-slot kinematics; a braking slot that would cross v=0 is
-    # reshaped to end exactly at v=0 so the step identity stays exact.
+    # reshaped to end exactly at v=0 so the step identity stays exact. The
+    # reshaped slot travels v*T/2, which can pass the target a stop aimed at.
     stopping = veh.v + a * T < 0.0
     if stopping:
         a = -veh.v / T

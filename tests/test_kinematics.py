@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icsim.kinematics import (
+    OCCUPANCY,
+    ROUTES,
+    SHARED_CELLS,
     UNREACHABLE,
     IntersectionGeometry,
     Route,
@@ -141,6 +144,22 @@ class TestCollisionArea:
         routes = {1: Route("H1R", "H4L"), 2: Route("H3R", "H1L")}
         col = collision_area(routes, GEO)
         assert col[1] == col[2] == frozenset({"S3"})
+
+    def test_route_tables_are_built_from_the_occupancy_table(self):
+        assert len(OCCUPANCY) == 12 and len(SHARED_CELLS) == 12 * 12
+        for a, b in itertools.product(OCCUPANCY, repeat=2):
+            assert SHARED_CELLS[a, b] == set(OCCUPANCY[a]) & set(OCCUPANCY[b]), (a, b)
+        assert ROUTES == {key: Route(*key) for key in OCCUPANCY}
+
+    def test_every_conflicting_pair_and_triple_by_the_set_definition(self):
+        cases = [*conflicting_pairs(), *conflicting_triples()]
+        assert len(cases) == 17 + 75
+        for routes in cases:
+            occ = {u: set(GEO.occupancy(r)) for u, r in enumerate(routes, 1)}
+            want = {
+                j: frozenset().union(*(occ[j] & occ[i] for i in occ if i != j)) for j in occ
+            }
+            assert collision_area(dict(enumerate(routes, 1)), GEO) == want, routes
 
     def test_cell_counts_by_maneuver(self):
         assert len(GEO.occupancy(Route("H1R", "H2L"))) == 1

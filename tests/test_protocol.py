@@ -19,6 +19,7 @@ from icsim.protocol import (
     SensorSnapshot,
     closed_form_enter_delay,
     competitors,
+    encode_message,
     enter_step,
     exit_step,
     planned_tau,
@@ -339,8 +340,9 @@ class TestPlannedTau:
 
 
 class TestSensorRecords:
-    """Sensor records are built by keyword with these field names and
-    defaults, and none of their fields can be assigned."""
+    """Sensor records, V2V messages and estimates are built by keyword with
+    these field names and defaults, and none of their fields can be
+    assigned; the messages keep their wire records."""
 
     SENSED = dict(
         uid=2, clane="H2R", x=150.0, dist_to_center=50.0, v=10.0, competing_light=True,
@@ -351,14 +353,21 @@ class TestSensorRecords:
         route=Route("H1R", "H3L"), x_s=200.0, a_des=0.5, resume_accel=2.0, radius=150.0,
         others=(SensedVehicle(**SENSED),), v_des=13.0,
     )
+    ENTER = dict(uid=2, clane="H2R", nlane="H4L", tau_mti=9.0)
+    ACK = dict(uid=2)
+    ESTIMATE = dict(uid=1, x_hat=100.0, v=13.0, a=-0.5, dx_bound=0.25)
+    V2V = [(EnterMessage, ENTER), (AckMessage, ACK), (VehicleEstimate, ESTIMATE)]
 
     @pytest.mark.parametrize(
         "cls, fields, defaults",
         [
             (SensedVehicle, SENSED, {"stopped_since": None}),
             (SensorSnapshot, SNAPSHOT, {"others": (), "v_des": 0.0}),
+            (EnterMessage, ENTER, {}),
+            (AckMessage, ACK, {}),
+            (VehicleEstimate, ESTIMATE, {"dx_bound": 0.0}),
         ],
-        ids=["SensedVehicle", "SensorSnapshot"],
+        ids=["SensedVehicle", "SensorSnapshot", "EnterMessage", "AckMessage", "VehicleEstimate"],
     )
     def test_keyword_construction_and_defaults(self, cls, fields, defaults):
         rec = cls(**fields)
@@ -376,6 +385,23 @@ class TestSensorRecords:
     def test_snapshot_is_frozen(self, name):
         with pytest.raises(AttributeError):
             setattr(SensorSnapshot(**self.SNAPSHOT), name, None)
+
+    @pytest.mark.parametrize("cls, fields", V2V, ids=lambda c: getattr(c, "__name__", ""))
+    def test_v2v_records_are_immutable_tuples(self, cls, fields):
+        rec = cls(**fields)
+        assert isinstance(rec, tuple) and rec._fields == tuple(fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+
+    def test_wire_records_and_the_worst_case_position(self):
+        assert encode_message(EnterMessage(**self.ENTER)) == "ENTER:2:H2R:H4L:9.0"
+        assert encode_message(EnterMessage(3, "H1R", "H3L", 0.1 + 0.2)) == (
+            "ENTER:3:H1R:H3L:0.30000000000000004"
+        )
+        assert encode_message(AckMessage(**self.ACK)) == "ACK:2"
+        assert EnterMessage(**self.ENTER) != AckMessage(**self.ACK)
+        assert VehicleEstimate(**self.ESTIMATE).x_max == 100.25
 
 
 class TestSdMainStep:

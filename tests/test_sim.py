@@ -2,14 +2,17 @@
 checking, determinism, kinematic exactness."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
+from test_golden import _reference
 
+import icsim.sim
 from icsim.channel import DistanceIID, Perfect, Scripted
 from icsim.kinematics import EXIT_LANES, OCCUPANCY, IntersectionGeometry, Route, path_cell
-from icsim.protocol import Mode, SensorSnapshot, planned_tau
-from icsim.scenarios import bundled_scenario
+from icsim.protocol import Action, Mode, SensorSnapshot, planned_tau
+from icsim.scenarios import bundled_scenario, resolve_scenario
 from icsim.sim import (
     STOP_MARGIN,
     Scenario,
@@ -178,6 +181,61 @@ class TestFallbackSafetyAndLiveness:
                     assert row.mode in (Mode.SD_FALLBACK, Mode.DONE)
 
 
+class TestRangeLoss:
+    def test_a_sender_beyond_R_is_lost_without_a_draw(self):
+        # 90*sqrt(2) = 127 m apart: in sensing range (150 m), beyond R (100 m)
+        scenario = Scenario(
+            vehicles=(
+                VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=110.0, v=10.0),
+                VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=110.0, v=10.0),
+            ),
+            R=100.0,
+            sensing_radius=150.0,
+            F=3,
+        )
+        trace = run_scenario(scenario)
+        rows = {(r.slot, r.uid): r for r in trace.rows}
+        for slot, (me, other) in itertools.product(range(2, 6), ((1, 2), (2, 1))):
+            assert rows[slot, other].sent.startswith(f"ENTER:{other}:")
+            assert rows[slot, me].lost == rows[slot, other].sent
+        assert not any(r.received for r in trace.rows)
+        assert [rows[6, u].action for u in (1, 2)] == [Action.SWITCH_TO_SD] * 2
+        bare = run_scenario(scenario, record=False)
+        assert (bare.events, bare.summary) == (trace.events, trace.summary)
+        assert [(s, u) for s, u, e in bare.events if e == "SWITCH_SD"] == [(6, 1), (6, 2)]
+
+
+class TestOneVerdictPerView:
+    """The cars that decide on one view (the ENTER set of a round) share one
+    verdict: ``priority_decision`` runs once per distinct view of a run, and
+    a run reuses no verdict of an earlier run."""
+
+    @pytest.mark.parametrize(
+        "name, views, mainctrls",
+        [
+            ("fault_priority_min", 1, 4),
+            ("fig5a", 2, 4),
+            ("fault_late_joiner", 2, 3),
+            ("fault_split_view", 2, 2),
+        ],
+    )
+    def test_each_view_is_decided_once(self, name, views, mainctrls, tmp_path, monkeypatch):
+        decide = icsim.sim.priority_decision
+        decided = []
+
+        def counted(entries, *args):
+            decided.append(frozenset((u, r, tau) for u, (r, tau) in entries.items()))
+            return decide(entries, *args)
+
+        monkeypatch.setattr(icsim.sim, "priority_decision", counted)
+        scenario = resolve_scenario(_reference(name, tmp_path))
+        for record in (True, False, True):  # back to back: each run decides its own
+            decided.clear()
+            trace = run_scenario(scenario, record=record)
+            assert len(set(decided)) == len(decided) == views
+            assert sum(e == "MAINCTRL" for _, _, e in trace.events) == mainctrls
+
+
 class TestDeterminism:
     def test_seed_matters_for_random_channel(self):
         base = two_car(DistanceIID(lam=0.004), max_slots=600)
@@ -276,6 +334,30 @@ class TestControl:
         assert veh.v == 0.0
         if a_nopr == 0.0:  # the guard alone brakes: the car rests at it
             assert veh.x == pytest.approx(veh.guard_x, abs=0.01)
+
+    def test_the_reshaped_last_slot_ends_past_the_target(self):
+        # braking at v*v/(2*gap) crosses zero speed within the slot when
+        # gap < v*T/2; _integrate then brakes at -v/T, which travels v*T/2
+        T = self.scenario.T
+        veh = _slowed_vehicle(x=189.96, v=2.0)
+        veh.guard_x = 190.0
+        gap = veh.guard_x - veh.x
+        assert gap < 2.0 * T / 2
+        self.drive(veh, Mode.AWAIT_EXIT, lambda ve: True)
+        assert veh.v == 0.0
+        assert veh.x - veh.guard_x == pytest.approx(2.0 * T / 2 - gap, abs=1e-12)
+
+    def test_no_yielder_rests_past_its_guard_by_the_margin(self):
+        # 6,160 yielders: about a third come to rest past the guard (the
+        # slot above; the worst by 0.125 m), none by STOP_MARGIN
+        past = 0
+        for x, v, k in itertools.product(range(150, 190), range(2, 16), range(11)):
+            veh = _slowed_vehicle(x=float(x), v=float(v))
+            veh.a_nopr, veh.guard_x = -0.5 * k, 190.0
+            self.drive(veh, Mode.AWAIT_EXIT, lambda ve: ve.v == 0.0, max_slots=1000)
+            assert veh.x <= veh.guard_x + STOP_MARGIN, (x, v, k)
+            past += veh.x > veh.guard_x
+        assert past
 
     def test_reentered_yielder_comes_to_rest_at_its_guard(self):
         # in the fresh round that follows a yield, the car holds at its guard
