@@ -199,11 +199,15 @@ def collision_area(
     """
     if not routes:
         raise ValueError("at least one route required")
-    keys = {uid: (r.clane, r.nlane) for uid, r in routes.items()}
-    return {
-        j: frozenset().union(*(SHARED_CELLS[kj, ki] for i, ki in keys.items() if i != j))
-        for j, kj in keys.items()
-    }
+    keys = [(uid, (r.clane, r.nlane)) for uid, r in routes.items()]
+    col: dict[int, frozenset[str]] = {}
+    for j, kj in keys:
+        shared: frozenset[str] = frozenset()
+        for i, ki in keys:
+            if i != j:
+                shared |= SHARED_CELLS[kj, ki]
+        col[j] = shared
+    return col
 
 
 def priority_decision(

@@ -28,7 +28,6 @@ from .channel import ChannelModel, Perfect, ReceiverStream, sample_delivery
 from .kinematics import (
     ROUTES,
     IntersectionGeometry,
-    PriorityVerdict,
     Route,
     VehicleEstimate,
     enter_trigger,
@@ -300,7 +299,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     mixed_window = 0
     slots_run = 0
     idle = dict.fromkeys(uids, _NO_MAIL)
-    verdicts: dict[frozenset, PriorityVerdict] = {}  # by view, for this run only
+    verdicts: dict = {}  # view -> PriorityVerdict, for this run only
 
     for slot in range(1, scenario.max_slots + 1):
         slots_run = slot
@@ -502,8 +501,7 @@ def _in_range(pos, a: int, b: int, r2: float) -> bool:
 def _protocol_phase(veh: _Vehicle, snap, scenario, slot, events, verdicts) -> tuple[frozenset, str]:
     """Run one vehicle's protocol step, in a slot that can change it, and
     every transition that reads its own state; returns its outbox and the
-    trace's action column. ``snap`` is what ``_sense`` gave the car, or None;
-    ``verdicts`` is the run's verdict per view (see ``_apply_verdict``)."""
+    trace's action column. ``snap`` is what ``_sense`` gave the car, or None."""
     mode = veh.proto.mode
 
     if mode is Mode.SD_APPROACH:
@@ -570,9 +568,8 @@ def _v2v_step(veh: _Vehicle, scenario, slot, events, verdicts) -> tuple[frozense
 
 
 def _apply_verdict(veh: _Vehicle, scenario, slot, events, verdicts):
-    """Turn a completed consensus into a crossing or yielding regime. The
-    verdict depends only on the view (the ENTER set decided on), so it is
-    computed once per view in a run and kept in ``verdicts``."""
+    """Turn a completed consensus into a crossing or yielding regime. A verdict
+    reads only its view (the ENTER set decided on): one per view and run."""
     st = veh.proto
     view = frozenset((*st.known_enters.values(), st.own_enter))
     verdict = verdicts.get(view)
