@@ -246,6 +246,17 @@ class TestEnterStepUnit:
         assert 9 not in st.expected_peers
         assert 9 not in st.known_enters
 
+    def test_enters_are_taken_before_the_acks_of_one_inbox(self):
+        # an ACK counted first would close the round to the unlisted ENTER
+        st = self.fresh(peers=(2, 4))
+        peer = EnterMessage(uid=2, clane="H2R", nlane="H4L", tau_mti=9.0)
+        st, _ = enter_step(st, frozenset())
+        st, _ = enter_step(st, frozenset({peer}))  # car 4's ENTER is missing: no ACK
+        assert not st.ack_sent
+        late = EnterMessage(uid=3, clane="H3R", nlane="H1L", tau_mti=8.0)
+        st, _ = enter_step(st, frozenset({AckMessage(uid=2), late}))
+        assert 3 in st.known_enters and st.known_acks == {2}
+
     def test_counter_exceeds_threshold_switches_to_sd(self):
         st = self.fresh(F=1)
         st, _ = enter_step(st, frozenset())  # t=1 send
