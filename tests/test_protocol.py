@@ -397,7 +397,7 @@ class TestSensorRecords:
         with pytest.raises(AttributeError):
             setattr(SensorSnapshot(**self.SNAPSHOT), name, None)
 
-    @pytest.mark.parametrize("cls, fields", V2V, ids=lambda c: getattr(c, "__name__", ""))
+    @pytest.mark.parametrize("cls, fields", V2V, ids=[c.__name__ for c, _ in V2V])
     def test_v2v_records_are_immutable_tuples(self, cls, fields):
         rec = cls(**fields)
         assert isinstance(rec, tuple) and rec._fields == tuple(fields)
