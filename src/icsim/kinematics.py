@@ -9,6 +9,7 @@ are safe to call from any context.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,8 +89,6 @@ class Route:
         return (EXIT_LANES.index(self.nlane) - self.approach) % 4
 
 
-#: One ``Route`` per (approach lane, exit lane) key of ``OCCUPANCY``.
-ROUTES = {key: Route(*key) for key in OCCUPANCY}
 #: The cells two routes share, for every ordered pair of ``OCCUPANCY`` keys.
 SHARED_CELLS = {
     (a, b): frozenset(OCCUPANCY[a]).intersection(OCCUPANCY[b]) for a in OCCUPANCY for b in OCCUPANCY
@@ -145,18 +144,12 @@ def path_cell(cells: tuple[str, ...], x_col: float, w: float, x: float) -> str |
     return cells[int(q)] if q < len(cells) else None
 
 
-@dataclass(frozen=True)
-class PriorityVerdict:
-    """Per-vehicle proceed/yield decisions plus each vehicle's collision set."""
+class PriorityVerdict(NamedTuple):
+    """The uids that may proceed, and each vehicle's collision set; every
+    other vehicle of the view yields."""
 
-    decisions: dict[int, bool]  # uid -> True iff the vehicle may proceed
+    proceeding: frozenset[int]
     collision: dict[int, frozenset[str]]
-
-    def proceeding(self) -> frozenset[int]:
-        return frozenset(u for u, p in self.decisions.items() if p)
-
-    def is_proceed(self, uid: int) -> bool:
-        return self.decisions[uid]
 
 
 def mean_time_to_intersection(est: VehicleEstimate, x_s: float) -> float:
@@ -169,12 +162,12 @@ def mean_time_to_intersection(est: VehicleEstimate, x_s: float) -> float:
 
     Raises ``ValueError`` if the vehicle is already past ``x_s``.
     """
-    dx = x_s - est.x_hat
+    _, x_hat, v, a, _ = est
+    dx = x_s - x_hat
     if dx < 0:
-        raise ValueError(f"target {x_s} is behind the estimated position {est.x_hat}")
+        raise ValueError(f"target {x_s} is behind the estimated position {x_hat}")
     if dx == 0:
         return 0.0
-    v, a = est.v, est.a
     if abs(a) < A_TOL:
         if v > 0:
             return dx / v
@@ -189,13 +182,13 @@ def mean_time_to_intersection(est: VehicleEstimate, x_s: float) -> float:
     return min(roots)
 
 
-def collision_area(
-    routes: dict[int, Route], geometry: IntersectionGeometry
-) -> dict[int, frozenset[str]]:
+def collision_area(routes: dict[int, Route]) -> dict[int, frozenset[str]]:
     """Cells each vehicle shares with at least one other vehicle's path.
 
-    ``COL_j`` is the union over all other vehicles of the pairwise
-    intersection of traversal cell sets; an empty set means no conflict.
+    ``routes`` maps each uid to anything with a ``clane`` and an ``nlane``:
+    a ``Route`` or an ENTER record. ``COL_j`` is the union over all other
+    vehicles of the pairwise intersection of traversal cell sets, read off
+    ``SHARED_CELLS``; an empty set means no conflict.
     """
     if not routes:
         raise ValueError("at least one route required")
@@ -210,19 +203,18 @@ def collision_area(
     return col
 
 
-def priority_decision(
-    entries: dict[int, tuple[Route, float]],
-    geometry: IntersectionGeometry,
-    tau_th: float,
-) -> PriorityVerdict:
-    """First-come-first-served proceed/yield verdict over exchanged arrival times.
+def priority_decision(view: Collection, tau_th: float) -> PriorityVerdict:
+    """First-come-first-served proceed/yield verdict on one view: the ENTER
+    records a round exchanged, anything with a ``uid``, a ``clane``, an
+    ``nlane`` and the announced arrival time ``tau_mti``.
 
     A vehicle proceeds if its collision set is empty; otherwise it compares
     its arrival time only with the earliest other arrival, and proceeds if it
     is strictly first, more than ``tau_th`` after that one, or tied with it
     exactly and carrying the largest uid among the tied vehicles. Ties compare
     the exchanged values exactly: every participant decides on identical
-    message contents, so float equality is consistent across vehicles. The
+    message contents, so float equality is consistent across vehicles, and
+    the verdict does not depend on the order of ``view``. The
     rule is unsound: two later cars can both proceed through a shared cell
     (``fault_priority_min``), and slow cars more than ``tau_th`` apart can
     share one (``fault_slow_pair``); see the strict xfails ``TestVerdictSoundness``
@@ -230,25 +222,25 @@ def priority_decision(
     """
     if tau_th <= 0:
         raise ValueError("tau_th must be positive")
-    for uid, (_, tau) in entries.items():
+    records = {m.uid: m for m in view}
+    if len(records) != len(view):
+        raise ValueError("a view holds one ENTER record per uid")
+    taus = {uid: m.tau_mti for uid, m in records.items()}
+    for uid, tau in taus.items():
         if not math.isfinite(tau):
             raise ValueError(f"non-finite arrival time for uid {uid}")
-    col = collision_area({u: r for u, (r, _) in entries.items()}, geometry)
-    taus = {u: t for u, (_, t) in entries.items()}
-    decisions: dict[int, bool] = {}
-    for j in entries:
-        if not col[j]:
-            decisions[j] = True
-            continue
-        m = min(taus[i] for i in entries if i != j)
-        if abs(taus[j] - m) > tau_th or taus[j] < m:
-            decisions[j] = True
-        elif taus[j] == m:
-            tied = [i for i in entries if taus[i] == taus[j]]
-            decisions[j] = j == max(tied)
-        else:
-            decisions[j] = False
-    return PriorityVerdict(decisions=decisions, collision=col)
+    col = collision_area(records)
+    proceeding = []
+    for j, tau in taus.items():
+        if col[j]:
+            first = min(t for i, t in taus.items() if i != j)
+            if tau == first:  # tied with the earliest: the largest tied uid goes
+                if j != max(i for i, t in taus.items() if t == tau):
+                    continue
+            elif tau > first and tau - first <= tau_th:
+                continue
+        proceeding.append(j)
+    return PriorityVerdict(frozenset(proceeding), col)
 
 
 def yield_acceleration(
@@ -298,10 +290,11 @@ def enter_trigger(
         raise ValueError("epsilon must be in (0, 1)")
     if sigma_x < 0:
         raise ValueError("sigma_x must be nonnegative")
-    if est.v <= 0:
+    _, x_hat, v, _, _ = est
+    if v <= 0:
         return False
-    t_j = math.ceil(R / (est.v * T))
-    mu = est.x_hat + est.v * t_j * T
+    t_j = math.ceil(R / (v * T))
+    mu = x_hat + v * t_j * T
     if sigma_x == 0:
         return mu >= ca_boundary
     # P{X >= b} for X ~ N(mu, sigma^2)

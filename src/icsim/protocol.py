@@ -72,7 +72,8 @@ V2VMessage = EnterMessage | AckMessage
 def encode_message(msg: V2VMessage) -> str:
     """Canonical wire record used in trace files."""
     if isinstance(msg, EnterMessage):
-        return f"ENTER:{msg.uid}:{msg.clane}:{msg.nlane}:{msg.tau_mti!r}"
+        uid, clane, nlane, tau_mti = msg
+        return f"ENTER:{uid}:{clane}:{nlane}:{tau_mti!r}"
     return f"ACK:{msg.uid}"
 
 

@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from .channel import ChannelModel, Perfect, ReceiverStream, sample_delivery
 from .kinematics import (
-    ROUTES,
     IntersectionGeometry,
     Route,
     VehicleEstimate,
@@ -574,16 +573,15 @@ def _apply_verdict(veh: _Vehicle, scenario, slot, events, verdicts):
     view = frozenset((*st.known_enters.values(), st.own_enter))
     verdict = verdicts.get(view)
     if verdict is None:
-        entries = {m.uid: (ROUTES[m.clane, m.nlane], m.tau_mti) for m in view}
-        verdict = verdicts[view] = priority_decision(entries, scenario.geometry, scenario.tau_th)
-    veh.proceed_uids = verdict.proceeding()
-    if verdict.is_proceed(veh.uid):
+        verdict = verdicts[view] = priority_decision(view, scenario.tau_th)
+    veh.proceed_uids = verdict.proceeding
+    if veh.uid in verdict.proceeding:
         _cross(veh, slot, events)
         return
     st.mode = Mode.AWAIT_EXIT
     my_col = verdict.collision[veh.uid]
-    first = next(i for i, c in enumerate(veh.cells) if c in my_col)
-    col_entry = veh.x_col + first * scenario.geometry.w  # IntersectionGeometry.cell_entry
+    first = next(c for c in veh.cells if c in my_col)
+    col_entry = scenario.geometry.cell_entry(veh.route, first)
     est = veh.estimate()
     D = scenario.geometry.w + scenario.d_margin
     if col_entry > est.x_max:

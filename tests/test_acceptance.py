@@ -54,7 +54,7 @@ def conflicting_pairs() -> list[tuple[Route, Route]]:
         for t0 in (1, 2, 3):
             for t1 in (1, 2, 3):
                 r0, r1 = route_for(0, t0), route_for(delta, t1)
-                col = collision_area({1: r0, 2: r1}, GEO)
+                col = collision_area({1: r0, 2: r1})
                 if col[1]:
                     pairs.append((r0, r1))
     return pairs
@@ -65,7 +65,7 @@ def conflicting_triples() -> list[tuple[Route, Route, Route]]:
     for approaches in ((0, 1, 2), (0, 1, 3), (0, 2, 3)):
         for turns in itertools.product((1, 2, 3), repeat=3):
             routes = tuple(route_for(k, t) for k, t in zip(approaches, turns))
-            col = collision_area({i: r for i, r in enumerate(routes, 1)}, GEO)
+            col = collision_area(dict(enumerate(routes, 1)))
             if any(col.values()):
                 triples.append(routes)
     return triples

@@ -64,6 +64,7 @@ DIGESTS = {
     "second_round_burst": (0, "54674a6c8f9e83b1f0e19dabc706e43842a8d045826171f77c0b0d1f75ed0f54"),
     "rest_start": (0, "37e6f07702bb3ac1406bb31ed27fffd04e4cd12d890687796295d215df0312af"),
     "fault_late_joiner": (2, "2c4f2aaae74ee7af4557d0baa493d0cef977f34f862eddede2c61322a7d4916c"),
+    "fault_open_round": (2, "fb55a02ee4cc9635667970f23fae3d3d0d2ba621514c6626cfd7de99985b9b2a"),
     "fault_priority_min": (2, "87b4a215c624563137dc135068845623716c51f6f1deab51fb2baf2fc5ee84e1"),
     "fault_slow_pair": (2, "c376b6843342e7dcbbe076de8cec8faded83df00b84e1cd7b9e8e7472f1174d9"),
     "fault_split_view": (3, "c0370d0181dcc5917d21afbb8a0dc9da2dcefa6680a28c94b4507cf96c0b4daa"),

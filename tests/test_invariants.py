@@ -142,7 +142,7 @@ class TestYieldOrdering:
         routes = {s.uid: s.route for s in trace.scenario.vehicles}
         summary = trace.summary["vehicles"]
         geo = trace.scenario.geometry
-        col = collision_area(routes, geo)
+        col = collision_area(routes)
         occupancy = {}
         for row in trace.rows:
             if row.occupancy:

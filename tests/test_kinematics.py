@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from icsim.kinematics import (
     OCCUPANCY,
-    ROUTES,
     SHARED_CELLS,
     UNREACHABLE,
     IntersectionGeometry,
@@ -23,6 +22,7 @@ from icsim.kinematics import (
     priority_decision,
     yield_acceleration,
 )
+from icsim.protocol import EnterMessage
 from test_acceptance import conflicting_pairs, conflicting_triples
 
 GEO = IntersectionGeometry(x_s=200.0, w=3.5)
@@ -122,36 +122,36 @@ class TestCollisionArea:
             3: Route("H3R", "H4L"),
             4: Route("H4R", "H1L"),
         }
-        col = collision_area(routes, GEO)
+        col = collision_area(routes)
         assert all(c == frozenset() for c in col.values())
 
     def test_single_car_no_conflict(self):
-        col = collision_area({7: Route("H1R", "H3L")}, GEO)
+        col = collision_area({7: Route("H1R", "H3L")})
         assert col[7] == frozenset()
 
     def test_perpendicular_straights_conflict(self):
         routes = {1: Route("H1R", "H3L"), 2: Route("H2R", "H4L")}
-        col = collision_area(routes, GEO)
+        col = collision_area(routes)
         assert col[1] and col[2]
         assert col[1] == col[2] == frozenset({"S2"})
 
     def test_opposite_straights_disjoint(self):
         routes = {1: Route("H1R", "H3L"), 2: Route("H3R", "H1L")}
-        col = collision_area(routes, GEO)
+        col = collision_area(routes)
         assert col[1] == col[2] == frozenset()
 
     def test_left_turn_against_oncoming_straight(self):
         routes = {1: Route("H1R", "H4L"), 2: Route("H3R", "H1L")}
-        col = collision_area(routes, GEO)
+        col = collision_area(routes)
         assert col[1] == col[2] == frozenset({"S3"})
 
     def test_route_tables_are_built_from_the_occupancy_table(self):
         assert len(OCCUPANCY) == 12 and len(SHARED_CELLS) == 12 * 12
         for a, b in itertools.product(OCCUPANCY, repeat=2):
             assert SHARED_CELLS[a, b] == set(OCCUPANCY[a]) & set(OCCUPANCY[b]), (a, b)
-        assert ROUTES == {key: Route(*key) for key in OCCUPANCY}
 
     def test_every_conflicting_pair_and_triple_by_the_set_definition(self):
+        # on routes and on the ENTER records that carry them alike
         cases = [*conflicting_pairs(), *conflicting_triples()]
         assert len(cases) == 17 + 75
         for routes in cases:
@@ -159,7 +159,9 @@ class TestCollisionArea:
             want = {
                 j: frozenset().union(*(occ[j] & occ[i] for i in occ if i != j)) for j in occ
             }
-            assert collision_area(dict(enumerate(routes, 1)), GEO) == want, routes
+            assert collision_area(dict(enumerate(routes, 1))) == want, routes
+            records = {m.uid: m for m in enters(routes, [0.0] * len(routes))}
+            assert collision_area(records) == want, routes
 
     def test_cell_counts_by_maneuver(self):
         assert len(GEO.occupancy(Route("H1R", "H2L"))) == 1
@@ -180,7 +182,7 @@ class TestCollisionArea:
         for i, k in enumerate(approaches):
             turn = data.draw(st.sampled_from([1, 2, 3]), label=f"turn{i}")
             routes[i + 1] = Route(f"H{k + 1}R", f"H{((k + turn) % 4) + 1}L")
-        col = collision_area(routes, GEO)
+        col = collision_area(routes)
         occ = {u: set(GEO.occupancy(r)) for u, r in routes.items()}
         for j in routes:
             for i in routes:
@@ -192,48 +194,46 @@ class TestCollisionArea:
 
 class TestPriorityDecision:
     def conflicting(self, tau1, tau2, uid1=1, uid2=2):
-        return {
-            uid1: (Route("H1R", "H3L"), tau1),
-            uid2: (Route("H2R", "H4L"), tau2),
-        }
+        return [
+            EnterMessage(uid1, "H1R", "H3L", tau1),
+            EnterMessage(uid2, "H2R", "H4L", tau2),
+        ]
 
     def test_strict_fcfs(self):
-        v = priority_decision(self.conflicting(4.0, 6.0), GEO, tau_th=2.0)
-        assert v.is_proceed(1) and not v.is_proceed(2)
+        v = priority_decision(self.conflicting(4.0, 6.0), tau_th=2.0)
+        assert v.proceeding == frozenset({1})
 
     def test_uid_tie_break_larger_wins(self):
-        entries = {
-            3: (Route("H1R", "H3L"), 5.0),
-            7: (Route("H2R", "H4L"), 5.0),
-        }
-        v = priority_decision(entries, GEO, tau_th=2.0)
-        assert v.is_proceed(7) and not v.is_proceed(3)
+        v = priority_decision(self.conflicting(5.0, 5.0, uid1=3, uid2=7), tau_th=2.0)
+        assert v.proceeding == frozenset({7})
 
     def test_no_conflict_both_proceed(self):
-        entries = {
-            1: (Route("H1R", "H2L"), 4.0),
-            2: (Route("H2R", "H3L"), 4.5),
-        }
-        v = priority_decision(entries, GEO, tau_th=2.0)
-        assert v.is_proceed(1) and v.is_proceed(2)
+        view = [EnterMessage(1, "H1R", "H2L", 4.0), EnterMessage(2, "H2R", "H3L", 4.5)]
+        v = priority_decision(view, tau_th=2.0)
+        assert v.proceeding == frozenset({1, 2})
         assert v.collision[1] == frozenset()
 
     def test_wide_temporal_gap_lets_both_proceed(self):
-        v = priority_decision(self.conflicting(1.0, 10.0), GEO, tau_th=2.0)
-        assert v.is_proceed(1) and v.is_proceed(2)
+        v = priority_decision(self.conflicting(1.0, 10.0), tau_th=2.0)
+        assert v.proceeding == frozenset({1, 2})
 
     def test_three_way_tie_single_winner(self):
-        entries = {
-            1: (Route("H1R", "H3L"), 5.0),
-            2: (Route("H2R", "H4L"), 5.0),
-            4: (Route("H4R", "H2L"), 5.0),
-        }
-        v = priority_decision(entries, GEO, tau_th=2.0)
-        assert v.proceeding() == frozenset({4})
+        view = [
+            EnterMessage(1, "H1R", "H3L", 5.0),
+            EnterMessage(2, "H2R", "H4L", 5.0),
+            EnterMessage(4, "H4R", "H2L", 5.0),
+        ]
+        v = priority_decision(view, tau_th=2.0)
+        assert v.proceeding == frozenset({4})
 
     def test_nonfinite_tau_rejected(self):
         with pytest.raises(ValueError):
-            priority_decision(self.conflicting(float("inf"), 4.0), GEO, 2.0)
+            priority_decision(self.conflicting(float("inf"), 4.0), 2.0)
+
+    def test_two_records_of_one_uid_rejected(self):
+        # the dropped one would depend on the view's order
+        with pytest.raises(ValueError, match="one ENTER record per uid"):
+            priority_decision(self.conflicting(4.0, 6.0, uid2=1), 2.0)
 
     @given(
         tau1=st.floats(0, 20),
@@ -242,18 +242,28 @@ class TestPriorityDecision:
     )
     @settings(max_examples=300)
     def test_close_conflicting_pair_exactly_one_proceeds(self, tau1, tau2, tau_th):
-        v = priority_decision(self.conflicting(tau1, tau2), GEO, tau_th)
-        n = int(v.is_proceed(1)) + int(v.is_proceed(2))
+        n = len(priority_decision(self.conflicting(tau1, tau2), tau_th).proceeding)
         if abs(tau1 - tau2) > tau_th:
             assert n == 2  # temporally separated, both may go
         else:
             assert n == 1
 
     def test_determinism(self):
-        entries = self.conflicting(4.4, 4.9)
-        a = priority_decision(entries, GEO, 2.0)
-        b = priority_decision(entries, GEO, 2.0)
-        assert a.decisions == b.decisions
+        view = self.conflicting(4.4, 4.9)
+        assert priority_decision(view, 2.0) == priority_decision(view, 2.0)
+
+    def test_every_order_of_every_conflicting_triple_gives_one_verdict(self):
+        # exact ties, gaps of exactly tau_th, and gaps past it
+        taus = [0.0, 1.0, 2.0, 3.0, 5.0]
+        checked = 0
+        for routes in conflicting_triples():
+            for ts in itertools.product(taus, repeat=3):
+                view = enters(routes, ts)
+                want = priority_decision(frozenset(view), 2.0)
+                for order in itertools.permutations(view):
+                    assert priority_decision(order, 2.0) == want, (routes, ts, order)
+                checked += 1
+        assert checked == 75 * 5**3
 
 
 class TestYieldAcceleration:
@@ -346,16 +356,23 @@ class TestEnterTrigger:
             assert enter_trigger(e, sigma, 150.0, 0.1, 196.5, lo)
 
 
-def clashes(entries, tau_th=2.0):
+def enters(routes, taus):
+    """One ENTER record per car, uids from 1, for ``routes`` and ``taus`` in step."""
+    return [EnterMessage(i, r.clane, r.nlane, t) for i, (r, t) in enumerate(zip(routes, taus), 1)]
+
+
+def clashes(view, tau_th=2.0):
     """Pairs of cars that both proceed, share a cell of their paths, and
     arrive within ``tau_th`` of each other: the verdict's own separation
     rule, checked against the occupancy table, not the collision area."""
-    go = priority_decision(entries, GEO, tau_th).proceeding()
+    go = priority_decision(view, tau_th).proceeding
+    by_uid = {m.uid: m for m in view}
     return [
         (i, j)
         for i, j in itertools.combinations(sorted(go), 2)
-        if set(GEO.occupancy(entries[i][0])) & set(GEO.occupancy(entries[j][0]))
-        and abs(entries[i][1] - entries[j][1]) <= tau_th
+        if set(OCCUPANCY[by_uid[i].clane, by_uid[i].nlane])
+        & set(OCCUPANCY[by_uid[j].clane, by_uid[j].nlane])
+        and abs(by_uid[i].tau_mti - by_uid[j].tau_mti) <= tau_th
     ]
 
 
@@ -368,7 +385,7 @@ class TestVerdictSoundness:
         checked = 0
         for r1, r2 in conflicting_pairs():
             for t1, t2 in itertools.product(taus, repeat=2):
-                assert clashes({1: (r1, t1), 2: (r2, t2)}) == [], (r1, r2, t1, t2)
+                assert clashes(enters((r1, r2), (t1, t2))) == [], (r1, r2, t1, t2)
                 checked += 1
         assert checked == 28_577
 
@@ -383,8 +400,7 @@ class TestVerdictSoundness:
         checked = 0
         for routes in conflicting_triples():
             for ts in itertools.product(taus, repeat=3):
-                entries = {i: (r, t) for i, (r, t) in enumerate(zip(routes, ts), 1)}
-                assert clashes(entries) == [], (routes, ts)
+                assert clashes(enters(routes, ts)) == [], (routes, ts)
                 checked += 1
         assert checked == 75 * 17**3
 
@@ -394,12 +410,8 @@ class TestVerdictSoundness:
         "cars 2 and 3, 3 s and 3.3 s after car 1, both proceed through S3",
     )
     def test_three_cars_that_clear_only_the_earliest(self):
-        entries = {
-            1: (Route("H1R", "H3L"), 5.0),
-            2: (Route("H2R", "H4L"), 8.0),
-            3: (Route("H3R", "H1L"), 8.3),
-        }
-        assert clashes(entries) == []
+        routes = (Route("H1R", "H3L"), Route("H2R", "H4L"), Route("H3R", "H1L"))
+        assert clashes(enters(routes, (5.0, 8.0, 8.3))) == []
 
 
 def cell_windows(route, tau, v):

@@ -52,6 +52,11 @@ FAULTS = {
     # protocol._absorb lets car 2 join after cars 1 and 3 have exchanged ACKs
     # and decide on their stale ENTERs; cars 1 and 2 meet in S3 (exit 2).
     "fault_late_joiner": "_absorb counts ACKs of a round the late joiner was not part of",
+    # H1R->H3L at 180 m and H2R->H4L at 176.5 m, both at 12 m/s, F=30, car 2
+    # loses every message of slots 1-35: the round never completes, and a car
+    # in an open round cruises, so both are still in V2V_ENTER when they
+    # share S2 in slots 17-19 (exit 2); they fall back only at slots 33-34.
+    "fault_open_round": "a car in an open ENTER round drives into the box",
     # _absorb drops car 2's late ENTER once car 3 has sent its ACK; cars 1
     # and 3 decide on different ENTER sets and wait for each other (exit 3).
     "fault_split_view": "_absorb drops an unlisted ENTER after the ACK: split ENTER sets",

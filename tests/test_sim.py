@@ -223,9 +223,9 @@ class TestOneVerdictPerView:
         decide = icsim.sim.priority_decision
         decided = []
 
-        def counted(entries, *args):
-            decided.append(frozenset((u, r, tau) for u, (r, tau) in entries.items()))
-            return decide(entries, *args)
+        def counted(*args):
+            decided.append(args[0])  # the view: a frozenset of ENTER records
+            return decide(*args)
 
         monkeypatch.setattr(icsim.sim, "priority_decision", counted)
         scenario = resolve_scenario(_reference(name, tmp_path))
