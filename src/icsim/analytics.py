@@ -60,7 +60,7 @@ def expected_enter_delay(p: float, F: int, xi: float | None = None) -> float:
 @lru_cache(maxsize=None)
 def _closed_form_delay_by_burst(F: int) -> tuple[int, ...]:
     """``closed_form_enter_delay`` per burst length 0..F at one receiver."""
-    return tuple(closed_form_enter_delay(F, {1: m, 2: 0}) for m in range(F + 1))
+    return tuple(closed_form_enter_delay(F, m) for m in range(F + 1))
 
 
 def v2v_probability(p: float, F: int, xi: float | None = None) -> float:

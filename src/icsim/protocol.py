@@ -77,11 +77,10 @@ def encode_message(msg: V2VMessage) -> str:
     return f"ACK:{msg.uid}"
 
 
-@dataclass
-class SlotIO:
+class SlotIO(NamedTuple):
     """One slot's outgoing messages and the resulting control action."""
 
-    outbox: frozenset[V2VMessage] = frozenset()
+    outbox: frozenset[V2VMessage]
     action: str = Action.NONE
 
 
@@ -92,23 +91,22 @@ class SensedVehicle(NamedTuple):
     clane: str
     x: float  # position along its own approach axis
     dist_to_center: float
-    v: float
     competing_light: bool
     exited: bool
     stopped_since: int | None = None
 
 
 class SensorSnapshot(NamedTuple):
-    """One vehicle's view of the world at the start of a slot."""
+    """One vehicle's view of the world at the start of a slot, every field
+    given; ``est.a`` is the vehicle's desired acceleration."""
 
     est: VehicleEstimate
     route: Route
     x_s: float
-    a_des: float
     resume_accel: float
     radius: float
-    others: tuple[SensedVehicle, ...] = ()
-    v_des: float = 0.0  # cruise speed regained after braking (a_des <= 0)
+    others: tuple[SensedVehicle, ...]
+    v_des: float  # cruise speed regained after braking (est.a <= 0)
 
 
 @dataclass
@@ -117,7 +115,9 @@ class ProtocolState:
 
     ``f`` counts slots in which a needed message failed to arrive; ``t``
     counts slots since the current V2V round started. ``expected_peers`` is
-    the competitor set the round runs against.
+    the competitor set the round runs against. The vehicle has sent its own
+    ACK once its uid is in ``known_acks``: it is never its own peer, so
+    nothing else puts it there.
     """
 
     uid: int
@@ -129,7 +129,6 @@ class ProtocolState:
     known_acks: set[int] = field(default_factory=set)
     expected_peers: set[int] = field(default_factory=set)
     own_enter: EnterMessage | None = None
-    ack_sent: bool = False
     resend_ack: bool = False  # the next failed slot after the ACK resends it
 
     def reset_round(self, peers: set[int], own_enter: EnterMessage) -> None:
@@ -141,7 +140,6 @@ class ProtocolState:
         self.known_acks = set()
         self.expected_peers = set(peers)
         self.own_enter = own_enter
-        self.ack_sent = False
         self.resend_ack = False
 
 
@@ -158,7 +156,7 @@ def planned_tau(snapshot: SensorSnapshot) -> float:
     est = snapshot.est
     if est.x_hat >= snapshot.x_s:
         return 0.0
-    a, v_des, ra = snapshot.a_des, snapshot.v_des, snapshot.resume_accel
+    a, v_des, ra = est.a, snapshot.v_des, snapshot.resume_accel
     if a <= 0 and est.v >= v_des:
         a = 0.0
     elif a <= 0:
@@ -182,7 +180,7 @@ def competitors(snapshot: SensorSnapshot) -> set[int]:
     clane, radius = snapshot.route.clane, snapshot.radius
     return {
         uid
-        for uid, o_clane, _, dist, _, _, exited, _ in snapshot.others
+        for uid, o_clane, _, dist, _, exited, _ in snapshot.others
         if not exited and o_clane != clane and dist <= radius
     }
 
@@ -211,7 +209,7 @@ def sd_main_step(
         raise ValueError("sd_main_step requires SD_APPROACH mode")
     clane, radius = sensed.route.clane, sensed.radius
     near = signalling = False
-    for _, o_clane, _, dist, _, light, exited, _ in sensed.others:
+    for _, o_clane, _, dist, light, exited, _ in sensed.others:
         if not exited:
             near = near or dist <= radius
             signalling = signalling or (o_clane != clane and light)
@@ -235,62 +233,55 @@ def enter_step(
     peer is still missing an ENTER. Every slot in which a needed message was
     not received increments ``f``; when ``f`` exceeds the threshold the
     vehicle abandons V2V for sensor-based driving and never returns to it.
+    Returns the state, updated in place, and the slot's ``SlotIO``.
     """
     if state.mode is not Mode.V2V_ENTER:
         raise ValueError("enter_step requires V2V_ENTER mode")
     state.t += 1
     _absorb(state, inbox)
-    io = SlotIO()
 
     if state.t == 1:
-        io.outbox = frozenset({state.own_enter})
-        return state, io
+        return state, SlotIO(frozenset({state.own_enter}))
 
-    if not state.ack_sent:
+    if state.uid not in state.known_acks:
         if state.expected_peers <= state.known_enters.keys():
-            state.ack_sent = True
             state.known_acks.add(state.uid)
-            io.outbox = frozenset({AckMessage(uid=state.uid)})
-            return state, io
-        return _register_failure(state, io, state.own_enter)
+            return state, SlotIO(frozenset({AckMessage(uid=state.uid)}))
+        return state, _register_failure(state, state.own_enter)
 
     if state.expected_peers <= state.known_acks:
-        io.action = Action.INITIATE_MAINCTRL
-        return state, io
+        return state, SlotIO(frozenset(), Action.INITIATE_MAINCTRL)
     resend = AckMessage(uid=state.uid) if state.resend_ack else state.own_enter
     state.resend_ack = not state.resend_ack
-    return _register_failure(state, io, resend)
+    return state, _register_failure(state, resend)
 
 
 def _absorb(state: ProtocolState, inbox) -> None:
     # Duplicates are idempotent; an ENTER from an unlisted uid joins the
-    # round only while no ACK is held yet, otherwise it waits for the next
-    # round and is dropped here. ENTERs are processed before ACKs, and an
-    # ACK counts only once its sender's ENTER is held: an acknowledgment is
-    # meaningless without the content it acknowledges, and the
-    # retransmission pairing guarantees another copy follows the ENTER.
+    # round only while no ACK is held yet, the own one included, otherwise
+    # it waits for the next round and is dropped here. ENTERs are processed
+    # before ACKs, and an ACK counts only once its sender's ENTER is held
+    # (which lists the sender as a peer): an acknowledgment is meaningless
+    # without the content it acknowledges, and the retransmission pairing
+    # guarantees another copy follows the ENTER.
     if not inbox:
         return
     acks = []
     for msg in sorted(inbox):  # records are tuples: by uid first
         if isinstance(msg, AckMessage):
             acks.append(msg.uid)
-        elif msg.uid in state.expected_peers or not (state.ack_sent or state.known_acks):
+        elif msg.uid in state.expected_peers or not state.known_acks:
             state.expected_peers.add(msg.uid)
             state.known_enters[msg.uid] = msg
-    state.known_acks.update(u for u in acks if u in state.expected_peers and u in state.known_enters)
+    state.known_acks.update(u for u in acks if u in state.known_enters)
 
 
-def _register_failure(
-    state: ProtocolState, io: SlotIO, resend: V2VMessage
-) -> tuple[ProtocolState, SlotIO]:
+def _register_failure(state: ProtocolState, resend: V2VMessage) -> SlotIO:
     state.f += 1
     if state.f > state.F:
         state.mode = Mode.SD_FALLBACK
-        io.action = Action.SWITCH_TO_SD
-        return state, io
-    io.outbox = frozenset({resend})
-    return state, io
+        return SlotIO(frozenset(), Action.SWITCH_TO_SD)
+    return SlotIO(frozenset({resend}))
 
 
 def exit_step(state: ProtocolState, sensed: SensorSnapshot) -> ProtocolState:
@@ -311,20 +302,19 @@ def exit_step(state: ProtocolState, sensed: SensorSnapshot) -> ProtocolState:
     return state
 
 
-def closed_form_enter_delay(F: int, failures: dict[int, int]) -> int:
+def closed_form_enter_delay(F: int, burst: int) -> int:
     """Slots from the first ENTER until the round resolves, as a closed form.
 
-    For a single contiguous receive-failure burst the consensus completes in
-    ``2*ceil(f/2) + 3`` slots; the threshold caps the recoverable extra delay
-    at ``F`` slots, beyond which the round resolves by the sensor fallback
-    instead.
+    For a single contiguous receive-failure burst of ``burst`` slots at one
+    receiver the consensus completes in ``2*ceil(burst/2) + 3`` slots; the
+    threshold caps the recoverable extra delay at ``F`` slots, beyond which
+    the round resolves by the sensor fallback instead.
     """
     if F < 0:
         raise ValueError("F must be nonnegative")
-    if any(v < 0 for v in failures.values()):
-        raise ValueError("burst lengths must be nonnegative")
-    worst = max(failures.values(), default=0)
-    return min(F, 2 * math.ceil(worst / 2)) + 3
+    if burst < 0:
+        raise ValueError("burst length must be nonnegative")
+    return min(F, 2 * math.ceil(burst / 2)) + 3
 
 
 @dataclass

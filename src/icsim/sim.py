@@ -442,11 +442,11 @@ def _sense(vehicles, scenario, pos) -> dict:
                 continue
             o = vehicles[o_uid]
             others.append(SensedVehicle(
-                o_uid, o.route.clane, o.x, abs(x_s - o.x), o.v, _signalling(o),
+                o_uid, o.route.clane, o.x, abs(x_s - o.x), _signalling(o),
                 o.x >= o.exit_x, o.stopped_since,
             ))
         out[uid] = SensorSnapshot(
-            me.estimate(), me.route, x_s, me.a_des, scenario.resume_accel,
+            me.estimate(), me.route, x_s, scenario.resume_accel,
             scenario.sensing_radius, tuple(others), me.v_des,
         )
     return out

@@ -123,7 +123,7 @@ class TestCriterion2ClosedFormEquivalence:
                 res = simulate_enter_round(
                     2, F=F, losses={(2, s) for s in range(1, f + 1)}
                 )
-                want = closed_form_enter_delay(F, {1: 0, 2: f})
+                want = closed_form_enter_delay(F, f)
                 assert res.resolution_slot() == want, (F, f)
                 if 2 * ((f + 1) // 2) <= F:
                     # tolerated burst: consensus completes, in the same slot

@@ -320,3 +320,22 @@ class TestDelayCurve:
                 values = [expected_enter_delay(pdr(d, lam), 30, xi) for d in distances]
                 assert values == sorted(values)
                 assert values[0] == pytest.approx(3.0)
+
+
+class TestRefusals:
+    """Arguments outside a function's domain raise ``ValueError``, named."""
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: expected_enter_delay(0.9, -1), "F must be nonnegative"),
+            (lambda: v2v_probability(0.0, 3), "delivery probability"),
+            (lambda: v2v_probability(0.9, -1), "F must be nonnegative"),
+            # exp(-0.0013 * 1e6) underflows to a zero delivery ratio
+            (lambda: monte_carlo_enter_delay(DistanceIID(0.0013), 1e6, 3, 10, 0), "zero-delivery"),
+        ],
+        ids=["delay F -1", "v2v p 0", "v2v F -1", "Monte Carlo at zero delivery"],
+    )
+    def test_raises(self, call, error):
+        with pytest.raises(ValueError, match=error):
+            call()

@@ -246,6 +246,45 @@ class TestMalformedScenario:
         assert rc == EXIT_CONFIG
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "changes,error",
+        [
+            ({("vehicles", 0, "v"): -1}, "vehicle 1 has negative initial speed"),
+            (
+                {("channel",): {"type": "correlated", "lambda": 0.001, "xi": 1.0}},
+                "invalid scenario: xi must be in [0, 1)",
+            ),
+            ({("vehicles", 0, "nlane"): "H1L"}, "invalid scenario: route H1R->H1L is a U-turn"),
+            # R / (v*T) overflows: the trigger's look-ahead is not finite
+            (
+                {("R",): 1e300, ("vehicles", 0, "v"): 1e-11},
+                "vehicle 1 is too slow: R / (v*T) is not finite",
+            ),
+        ],
+        ids=["negative v", "xi 1", "U-turn", "too slow"],
+    )
+    def test_a_scenario_the_engine_cannot_run(self, changes, error, tmp_path, capsys):
+        data = fig5b()
+        for path, value in changes.items():
+            _parent(data, path)[path[-1]] = value
+        assert run_simulate(data, tmp_path) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+        assert assert_one_line_error(capsys) == f"error: {error}\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "JSON array"])
+    def test_a_scenario_path_that_holds_no_json_object(self, kind, tmp_path, capsys):
+        path = tmp_path / "in.scenario.json"
+        if kind == "directory":
+            path.mkdir()
+            error = "error: cannot read scenario file: "
+        else:
+            path.write_text("[1, 2]")
+            error = "error: scenario file must contain a JSON object"
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+        assert assert_one_line_error(capsys).startswith(error)
+
     def test_negative_seed_flag_on_a_random_channel(self, tmp_path, capsys):
         data = fig5b(channel={"type": "distance_iid", "lambda": 0.001})
         assert run_simulate(data, tmp_path, "--seed", "-1") == EXIT_CONFIG
@@ -536,6 +575,19 @@ class TestFitPdr:
         assert rc == EXIT_CONFIG
         assert not out.exists()
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "rows,error",
+        [("100,1.5\n200,0.5\n", "pdr must be in [0, 1]"), ("", "input CSV contains no samples")],
+        ids=["pdr 1.5", "header only"],
+    )
+    def test_bad_samples_write_nothing(self, rows, error, tmp_path, capsys):
+        src = tmp_path / "samples.csv"
+        src.write_text(f"distance_m,pdr\n{rows}")
+        out = tmp_path / "o"
+        assert main(["fit-pdr", "--input", str(src), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert assert_one_line_error(capsys) == f"error: {error}\n"
 
     @pytest.mark.parametrize("row", ["200", "200,0.8,extra"])
     def test_row_unlike_the_header_writes_nothing(self, row, tmp_path, capsys):

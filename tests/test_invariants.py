@@ -434,7 +434,7 @@ def still_waiting(uid: int, verdict_proceed: frozenset[int], seen) -> bool:
     one is another car the verdict lets proceed that has not exited. A
     proceeding car that is not sensed counts as gone; one sitting still with
     its signal off has abandoned the crossing (sensor fallback)."""
-    for o_uid, _, _, _, _, light, exited, stopped in seen:
+    for o_uid, _, _, _, light, exited, stopped in seen:
         if o_uid in verdict_proceed and o_uid != uid and not exited and (stopped is None or light):
             return True
     return False
@@ -445,7 +445,7 @@ def _my_turn(me, seen) -> bool:
     car stopped at its line goes only when nobody signals, nobody is in the
     box, and no earlier-stopped car still waits at its line."""
     mine = (me.stopped_since if me.stopped_since is not None else 1 << 30, me.uid)
-    for o_uid, _, x, _, _, light, exited, stopped_since in seen:
+    for o_uid, _, x, _, light, exited, stopped_since in seen:
         if exited:
             continue
         if light or x >= me.x_col:

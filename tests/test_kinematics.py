@@ -456,3 +456,28 @@ class TestSeparationWindows:
                     )
                 checked += 1
         assert checked == 39_984
+
+
+class TestRefusals:
+    """Arguments outside a function's domain raise ``ValueError``, named."""
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: priority_decision(enters(conflicting_pairs()[0], (4.0, 6.0)), 0), "tau_th"),
+            (lambda: collision_area({}), "at least one route"),
+            (lambda: yield_acceleration(est(0, 10, 0), 0.0, 50.0, -1.0), "D must be nonnegative"),
+            (lambda: enter_trigger(est(0, 10), 0.0, 0.0, 0.1, 190.0, 0.5), "R and T"),
+            (lambda: enter_trigger(est(0, 10), 0.0, 500.0, 0.0, 190.0, 0.5), "R and T"),
+            (lambda: enter_trigger(est(0, 10), 0.0, 500.0, 0.1, 190.0, 0.0), "epsilon"),
+            (lambda: enter_trigger(est(0, 10), 0.0, 500.0, 0.1, 190.0, 1.0), "epsilon"),
+            (lambda: enter_trigger(est(0, 10), -1.0, 500.0, 0.1, 190.0, 0.5), "sigma_x"),
+        ],
+        ids=[
+            "tau_th 0", "no routes", "negative D", "R 0", "T 0", "epsilon 0", "epsilon 1",
+            "negative sigma_x",
+        ],
+    )
+    def test_raises(self, call, error):
+        with pytest.raises(ValueError, match=error):
+            call()

@@ -17,6 +17,7 @@ from icsim.protocol import (
     SDDecision,
     SensedVehicle,
     SensorSnapshot,
+    SlotIO,
     closed_form_enter_delay,
     competitors,
     encode_message,
@@ -68,26 +69,20 @@ class TestConstants:
 
 
 class TestClosedFormDelay:
-    @pytest.mark.parametrize(
-        "failures,expected",
-        [
-            ({1: 0, 2: 0}, 3),
-            ({1: 0, 2: 1}, 5),
-            ({1: 0, 2: 2}, 5),
-            ({1: 0, 2: 3}, 7),
-            ({1: 2, 2: 2}, 5),
-        ],
-    )
-    def test_reference_patterns(self, failures, expected):
-        assert closed_form_enter_delay(30, failures) == expected
+    """The delay of one receive-failure burst at one receiver."""
+
+    @pytest.mark.parametrize("burst_length,expected", [(0, 3), (1, 5), (2, 5), (3, 7)])
+    def test_reference_patterns(self, burst_length, expected):
+        assert closed_form_enter_delay(30, burst_length) == expected
 
     def test_threshold_caps_extra_delay(self):
-        assert closed_form_enter_delay(3, {1: 3, 2: 0}) == 6
-        assert closed_form_enter_delay(4, {1: 3, 2: 0}) == 7
+        assert closed_form_enter_delay(3, 3) == 6
+        assert closed_form_enter_delay(4, 3) == 7
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            closed_form_enter_delay(3, {1: -1})
+    @pytest.mark.parametrize("F,burst_length", [(3, -1), (-1, 0)], ids=["burst", "F"])
+    def test_rejects_negative(self, F, burst_length):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            closed_form_enter_delay(F, burst_length)
 
 
 class TestDiagramReproduction:
@@ -213,7 +208,7 @@ class TestEnterStepUnit:
         st = self.fresh()
         msg = EnterMessage(uid=2, clane="H2R", nlane="H4L", tau_mti=9.0)
         st, _ = enter_step(st, frozenset({msg}))
-        snap = (dict(st.known_enters), set(st.known_acks), st.f, st.ack_sent)
+        snap = (dict(st.known_enters), set(st.known_acks))
         st, _ = enter_step(st, frozenset({msg}))
         # counter may advance on missing ACKs, but the message books do not
         assert dict(st.known_enters) == snap[0]
@@ -222,9 +217,11 @@ class TestEnterStepUnit:
     def test_ack_sent_after_all_enters(self):
         st = self.fresh()
         st, _ = enter_step(st, frozenset())
+        assert st.uid not in st.known_acks
         msg = EnterMessage(uid=2, clane="H2R", nlane="H4L", tau_mti=9.0)
         st, io = enter_step(st, frozenset({msg}))
-        assert st.ack_sent
+        # the own ACK is recorded as sent by the own uid in the ACK set
+        assert st.known_acks == {st.uid}
         (msg,) = io.outbox
         assert isinstance(msg, AckMessage)
 
@@ -252,7 +249,7 @@ class TestEnterStepUnit:
         peer = EnterMessage(uid=2, clane="H2R", nlane="H4L", tau_mti=9.0)
         st, _ = enter_step(st, frozenset())
         st, _ = enter_step(st, frozenset({peer}))  # car 4's ENTER is missing: no ACK
-        assert not st.ack_sent
+        assert st.uid not in st.known_acks
         late = EnterMessage(uid=3, clane="H3R", nlane="H1L", tau_mti=8.0)
         st, _ = enter_step(st, frozenset({AckMessage(uid=2), late}))
         assert 3 in st.known_enters and st.known_acks == {2}
@@ -302,25 +299,25 @@ def make_snapshot(
     route=("H1R", "H3L"),
     others=(),
     x_s=200.0,
+    v_des=13.0,
 ):
     return SensorSnapshot(
         est=VehicleEstimate(uid=uid, x_hat=x, v=v, a=a, dx_bound=0.0),
         route=Route(*route),
         x_s=x_s,
-        a_des=a,
         resume_accel=2.0,
         radius=150.0,
         others=tuple(others),
+        v_des=v_des,
     )
 
 
-def sensed(uid, clane, dist, light=False, exited=False, x=None, v=10.0, stopped=None):
+def sensed(uid, clane, dist, light=False, exited=False, x=None, stopped=None):
     return SensedVehicle(
         uid=uid,
         clane=clane,
         x=200.0 - dist if x is None else x,
         dist_to_center=dist,
-        v=v,
         competing_light=light,
         exited=exited,
         stopped_since=stopped,
@@ -329,59 +326,67 @@ def sensed(uid, clane, dist, light=False, exited=False, x=None, v=10.0, stopped=
 
 class TestPlannedTau:
     def test_cruising_vehicle_plans_uniform_motion(self):
-        snap = make_snapshot(x=100.0, v=10.0)._replace(v_des=10.0)
+        snap = make_snapshot(x=100.0, v=10.0, v_des=10.0)
         assert planned_tau(snap) == pytest.approx(10.0)
 
     def test_slowed_vehicle_plans_its_resume_ramp(self):
         # 5 -> 10 m/s at 2 m/s^2 takes 2.5 s over 18.75 m; the remaining
         # 81.25 m at 10 m/s take 8.125 s
-        snap = make_snapshot(x=100.0, v=5.0)._replace(v_des=10.0)
+        snap = make_snapshot(x=100.0, v=5.0, v_des=10.0)
         assert planned_tau(snap) == pytest.approx(10.625)
 
     def test_ramp_cut_short_by_the_center(self):
         # from rest, 4 m at 2 m/s^2 take 2 s, before 10 m/s is reached
-        snap = make_snapshot(x=196.0, v=0.0)._replace(v_des=10.0)
+        snap = make_snapshot(x=196.0, v=0.0, v_des=10.0)
         assert planned_tau(snap) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("v", [0.0, 5.0, 10.0])
     def test_vehicle_past_the_center_has_arrived(self, v):
         # a yielder held at a guard deep in its path re-enters from there
-        snap = make_snapshot(x=200.07, v=v)._replace(v_des=10.0)
+        snap = make_snapshot(x=200.07, v=v, v_des=10.0)
         assert planned_tau(snap) == 0.0
 
 
 class TestSensorRecords:
     """Sensor records, V2V messages and estimates are built by keyword with
-    these field names and defaults, and none of their fields can be
-    assigned; the messages keep their wire records."""
+    these field names and exactly these defaults, and none of their fields
+    can be assigned; the messages keep their wire records."""
 
     SENSED = dict(
-        uid=2, clane="H2R", x=150.0, dist_to_center=50.0, v=10.0, competing_light=True,
+        uid=2, clane="H2R", x=150.0, dist_to_center=50.0, competing_light=True,
         exited=False, stopped_since=7,
     )
     SNAPSHOT = dict(
-        est=VehicleEstimate(uid=1, x_hat=100.0, v=13.0, a=0.0, dx_bound=0.0),
-        route=Route("H1R", "H3L"), x_s=200.0, a_des=0.5, resume_accel=2.0, radius=150.0,
+        est=VehicleEstimate(uid=1, x_hat=100.0, v=13.0, a=0.5, dx_bound=0.0),
+        route=Route("H1R", "H3L"), x_s=200.0, resume_accel=2.0, radius=150.0,
         others=(SensedVehicle(**SENSED),), v_des=13.0,
     )
     ENTER = dict(uid=2, clane="H2R", nlane="H4L", tau_mti=9.0)
     ACK = dict(uid=2)
     ESTIMATE = dict(uid=1, x_hat=100.0, v=13.0, a=-0.5, dx_bound=0.25)
-    V2V = [(EnterMessage, ENTER), (AckMessage, ACK), (VehicleEstimate, ESTIMATE)]
+    SLOT_IO = dict(outbox=frozenset({AckMessage(uid=1)}), action=Action.INITIATE_MAINCTRL)
+    V2V = [
+        (EnterMessage, ENTER), (AckMessage, ACK), (VehicleEstimate, ESTIMATE), (SlotIO, SLOT_IO),
+    ]
 
     @pytest.mark.parametrize(
         "cls, fields, defaults",
         [
             (SensedVehicle, SENSED, {"stopped_since": None}),
-            (SensorSnapshot, SNAPSHOT, {"others": (), "v_des": 0.0}),
+            (SensorSnapshot, SNAPSHOT, {}),
             (EnterMessage, ENTER, {}),
             (AckMessage, ACK, {}),
             (VehicleEstimate, ESTIMATE, {"dx_bound": 0.0}),
+            (SlotIO, SLOT_IO, {"action": Action.NONE}),
         ],
-        ids=["SensedVehicle", "SensorSnapshot", "EnterMessage", "AckMessage", "VehicleEstimate"],
+        ids=[
+            "SensedVehicle", "SensorSnapshot", "EnterMessage", "AckMessage", "VehicleEstimate",
+            "SlotIO",
+        ],
     )
     def test_keyword_construction_and_defaults(self, cls, fields, defaults):
         rec = cls(**fields)
+        assert rec._fields == tuple(fields) and cls._field_defaults == defaults
         assert {name: getattr(rec, name) for name in fields} == fields
         required = {k: v for k, v in fields.items() if k not in defaults}
         rec = cls(**required)
@@ -450,6 +455,12 @@ class TestSdMainStep:
             ]
         )
         assert competitors(snap) == {2}
+
+    def test_rejects_a_vehicle_not_approaching(self):
+        st = ProtocolState(uid=1, F=8)
+        st.mode = Mode.V2V_ENTER
+        with pytest.raises(ValueError, match="SD_APPROACH"):
+            sd_main_step(st, make_snapshot())
 
     def test_exited_vehicles_are_invisible(self):
         st = ProtocolState(uid=1, F=8)

@@ -116,3 +116,7 @@ class TestValidationErrors:
         data["vehicles"][0]["clane"] = "H9R"
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
+
+    def test_unknown_bundled_name(self):
+        with pytest.raises(ScenarioError, match="unknown bundled scenario 'nope'"):
+            bundled_scenario("nope")

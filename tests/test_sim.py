@@ -294,9 +294,9 @@ class TestControl:
             est=veh.estimate(),
             route=veh.route,
             x_s=x_s,
-            a_des=veh.a_des,
             resume_accel=self.scenario.resume_accel,
             radius=self.scenario.sensing_radius,
+            others=(),
             v_des=veh.v_des,
         )
         tau = planned_tau(snap)
