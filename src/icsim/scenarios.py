@@ -93,10 +93,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         kwargs = _read(data, _TOP) | _read(_object(data, "params"), _PARAMS)
         if "channel" in data:
             kwargs["channel"] = channel_from_dict(_object(data, "channel"))
+        vehicles = data["vehicles"]
+        if not isinstance(vehicles, list):
+            raise ScenarioError("vehicles must be a JSON array")
+        for i, v in enumerate(vehicles):
+            if not isinstance(v, dict):
+                raise ScenarioError(f"vehicles[{i}] must be a JSON object")
         scenario = Scenario(
             vehicles=tuple(
                 VehicleSpec(route=Route(v["clane"], v["nlane"]), **_read(v, _VEHICLE))
-                for v in data["vehicles"]
+                for v in vehicles
             ),
             geometry=IntersectionGeometry(**_read(_object(data, "geometry"), _GEOMETRY)),
             **kwargs,

@@ -9,10 +9,13 @@ gives it what its step reads (a snapshot, or a fallback car's mark to go);
 a crossing or going car runs only the exit rule. Delivery runs only when
 some car sends. A waiting car (a yielder, or a fallback car stopped short
 of its line) waits by one exact rule, ``_held``: while a car in sensing
-range holds it by the wait's own test, it neither senses nor steps. No run
-drives an inert car (done, past its path exit, on no cell) through the slot
-loop; a recorded run writes its remaining rows after the loop. Identical
-scenario plus seed always produces a byte-identical trace.
+range holds it by the wait's own test, it neither senses nor steps. The
+slot loop drops an inert car (done, past its path exit, on no cell), and it
+ends with the first slot after which every car still driven is committed
+(crossing, done, or a fallback car that goes): from there no car senses,
+steps, sends or hears, so each drives alone by the same calls, and their
+exits, cells and rows merge slot-major in uid order up to the run's last
+slot. Identical scenario plus seed always produces a byte-identical trace.
 """
 
 from __future__ import annotations
@@ -269,12 +272,13 @@ class _Vehicle:
 
 
 def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
-    """Advance the scenario slot by slot until every vehicle is done or the
-    slot budget runs out. Returns the full trace; with ``record=False`` the
-    per-slot rows are omitted (summary, events and safety bookkeeping are
-    always kept). Either way, an inert car (done, past its path exit and on
-    no cell) leaves the slot loop, since nothing there reads it; a recorded
-    run drives it through its remaining rows after the loop."""
+    """Advance the scenario until every vehicle is done or the slot budget
+    runs out. Returns the full trace; with ``record=False`` the per-slot rows
+    are omitted (summary, events and safety bookkeeping are always kept).
+    Either way, an inert car (done, past its path exit and on no cell) leaves
+    the slot loop, since nothing there reads it, and the loop itself ends
+    once every car left is committed; ``_drive_alone`` drives each car from
+    there to the run's last slot, or until it is inert if no rows are kept."""
     w = scenario.geometry.w
     # the cars still driven, in uid order; see the end of the integrate pass
     vehicles = {
@@ -282,7 +286,6 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         for spec in sorted(scenario.vehicles, key=lambda s: s.uid)
     }
     uids = list(vehicles)
-    dropped: list[_Vehicle] = []
     # one stream per receiver, seeded by (seed, uid): NumPy's
     # default_rng([seed, uid]) draws, deterministic and disjoint across
     # vehicles (deterministic channels never touch them)
@@ -290,18 +293,17 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     if scenario.channel.uses_rng:
         rngs = {u: ReceiverStream(scenario.seed, u) for u in uids}
     # per car, SlotRecord fields, made SlotRecords once at the end
-    rows: dict[int, list[tuple]] = {u: [] for u in uids}
+    rows: dict[int, list[tuple]] = {u: [] for u in uids} if record else {}
     events: list[tuple[int, int, str]] = []
     violations: list[tuple[int, str, tuple[int, int]]] = []
     crossing_slots = {u: 0 for u in uids}
     mixed_run = 0
     mixed_window = 0
-    slots_run = 0
     idle = dict.fromkeys(uids, _NO_MAIL)
     verdicts: dict = {}  # view -> PriorityVerdict, for this run only
+    resume: dict[_Vehicle, int] = {}  # a car that left the loop -> its next slot
 
     for slot in range(1, scenario.max_slots + 1):
-        slots_run = slot
         pos: dict[int, tuple[float, float]] = {}  # filled on first use, see _positions
         snapshots = _sense(vehicles, scenario, pos)
         outboxes = {}
@@ -322,10 +324,10 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
             vehicles, outboxes, scenario, rngs, slot, pos
         )
         # modes change only in the protocol phase, so this one pass over the
-        # cars also gives the mixed-mode and all-done tests
+        # cars also gives the mixed-mode and all-committed tests
         holder: dict[str, int] = {}
         any_v2v = any_fall = False
-        all_done = True
+        committed = True
         inert = []
         for veh in vehicles.values():
             uid = veh.uid
@@ -341,7 +343,9 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
                 else:
                     holder[cell] = uid
             mode = veh.proto.mode
-            all_done = all_done and mode is Mode.DONE
+            committed = committed and (
+                mode is Mode.CROSSING or mode is Mode.DONE or veh.fallback_go
+            )
             any_v2v = any_v2v or mode is Mode.V2V_ENTER
             any_fall = any_fall or mode is Mode.SD_FALLBACK
             if record:
@@ -358,23 +362,34 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         # reader skips its sensed record: it leaves the loop
         for veh in inert:
             del vehicles[veh.uid]
-        dropped += inert
+            resume[veh] = slot + 1
 
         mixed_run = mixed_run + 1 if (any_v2v and any_fall) else 0
         mixed_window = max(mixed_window, mixed_run)
 
-        if all_done:
+        if committed:  # crossing, done or going, every car left drives by its own law
             break
 
-    # an inert car's remaining rows: a done car cruises, integrated alone
-    for veh in dropped if record else ():
-        own = rows[veh.uid]
-        for slot in range(len(own) + 1, slots_run + 1):
-            a_eff = _apply_control(veh, scenario, "")
-            _integrate(veh, a_eff, scenario.T, slot)
-            own.append((
-                slot, veh.uid, Mode.DONE, veh.x, veh.v, a_eff, veh.proto.f, "", "", "", "", "",
-            ))
+    # Every car still driven is committed, or the budget is spent. Each car
+    # drives alone to its exit, which fixes the run's last slot, then on
+    # through it (a done car can still be in the box), or until it is inert
+    # if no rows are kept
+    exits, cells = [], []  # the EXITED events and (slot, uid, cell) records from here on
+    for veh in vehicles.values():
+        resume[veh] = _drive_alone(
+            veh, scenario, slot + 1, scenario.max_slots, exits, cells, rows.get(veh.uid), True
+        )
+    events += sorted(exits)
+    done = [s for s, _, name in events if name == "EXITED"]
+    slots_run = max(done, default=slot) if len(done) == len(uids) else scenario.max_slots
+    for veh, start in resume.items():
+        _drive_alone(veh, scenario, start, slots_run, exits, cells, rows.get(veh.uid))
+    # the merged co-occupancy log, slot-major and in uid order as in the loop
+    first_in: dict[tuple[int, str], int] = {}
+    for slot, uid, cell in sorted(cells):
+        crossing_slots[uid] += 1
+        if (first := first_in.setdefault((slot, cell), uid)) != uid:
+            violations.append((slot, cell, (first, uid)))
     summary = _summarize(events, uids, slots_run, violations, mixed_window, crossing_slots)
     return SimTrace(
         scenario=scenario,
@@ -388,6 +403,34 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
         violations=violations,
         slots_run=slots_run,
     )
+
+
+def _drive_alone(veh: _Vehicle, scenario, slot, stop, events, cells, own, to_exit=False) -> int:
+    """Drive one committed car alone from ``slot`` through ``stop`` by the
+    slot loop's calls for it, in order: the exit rule while it crosses or
+    goes, the control law, the integration. Each slot's cell goes to
+    ``cells`` as ``(slot, uid, cell)``, its row to ``own`` if a list. Stops
+    once the car is done if ``to_exit``, else once inert with no rows to
+    write; returns the next slot."""
+    T, w, uid = scenario.T, scenario.geometry.w, veh.uid
+    while slot <= stop:
+        mode = veh.proto.mode
+        if mode is Mode.DONE and (to_exit or own is None and veh.x >= veh.exit_x
+                                  and path_cell(veh.cells, veh.x_col, w, veh.x) is None):
+            break
+        action = "" if mode is Mode.DONE else _exit_rule(veh, slot, events)
+        a_eff = _apply_control(veh, scenario, action)
+        _integrate(veh, a_eff, T, slot)
+        cell = path_cell(veh.cells, veh.x_col, w, veh.x) if veh.x >= veh.x_col else None
+        if cell is not None:
+            cells.append((slot, uid, cell))
+        if own is not None:
+            own.append((
+                slot, uid, veh.proto.mode, veh.x, veh.v, a_eff, veh.proto.f, "", "", "",
+                cell or "", action,
+            ))
+        slot += 1
+    return slot
 
 
 def _positions(pos, vehicles, x_s) -> dict[int, tuple[float, float]]:

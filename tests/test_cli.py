@@ -208,6 +208,26 @@ class TestMalformedScenario:
         assert assert_one_line_error(capsys) == f"error: {error}\n"
 
     @pytest.mark.parametrize(
+        "path,value,error",
+        [
+            # an object of cars would load as an empty scenario and exit 0
+            (("vehicles",), {}, "vehicles must be a JSON array"),
+            (("vehicles",), {"1": {"clane": "H1R"}}, "vehicles must be a JSON array"),
+            (("vehicles",), "H1R", "vehicles must be a JSON array"),
+            (("vehicles",), None, "vehicles must be a JSON array"),
+            # a car that is not an object used to fail on indexing it by a field
+            (("vehicles", 0), [1, 2], "vehicles[0] must be a JSON object"),
+            (("vehicles", 1), 7, "vehicles[1] must be a JSON object"),
+            (("vehicles", 1), None, "vehicles[1] must be a JSON object"),
+        ],
+        ids=repr,
+    )
+    def test_vehicles_must_be_an_array_of_objects(self, path, value, error, tmp_path, capsys):
+        assert run_simulate(fig5b(path, value), tmp_path) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+        assert assert_one_line_error(capsys) == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
         "path,key",
         [
             ((), "sensing_radius"),

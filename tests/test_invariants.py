@@ -326,9 +326,10 @@ def _inert_slots(trace) -> dict[int, int]:
 
 
 class TestStepping:
-    """A car runs its protocol step only in a slot that can change it, and
-    the slot loop stops driving a car once nothing can read it, whether the
-    run records rows or not; neither changes what a run gives."""
+    """A car runs its protocol step only in a slot that can change it, the
+    slot loop stops driving a car once nothing can read it, and it ends once
+    every car is committed, whether the run records rows or not; none of
+    these changes what a run gives."""
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     @pytest.mark.parametrize("record", [True, False])
@@ -413,6 +414,43 @@ class TestStepping:
             assert uids == {
                 s.uid for s in scenario.vehicles if inert.get(s.uid, slot) >= slot
             }, slot
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    @pytest.mark.parametrize("record", [True, False])
+    def test_nothing_is_sensed_stepped_or_sent_after_the_last_start(
+        self, name, record, tmp_path, monkeypatch
+    ):
+        scenario = resolve_scenario(_reference(name, tmp_path))
+        sense, step, exchange = icsim.sim._sense, icsim.sim._protocol_phase, icsim.sim._exchange
+        sensed, stepped, exchanged = [], [], []
+
+        def counted_sense(*args):
+            sensed.append(len(sensed) + 1)  # one call per slot of the loop
+            return sense(*args)
+
+        def counted_step(veh, snap, scenario, slot, *args):
+            stepped.append(slot)
+            return step(veh, snap, scenario, slot, *args)
+
+        def counted_exchange(*args):
+            exchanged.append(args[4])
+            return exchange(*args)
+
+        monkeypatch.setattr(icsim.sim, "_sense", counted_sense)
+        monkeypatch.setattr(icsim.sim, "_protocol_phase", counted_step)
+        monkeypatch.setattr(icsim.sim, "_exchange", counted_exchange)
+        trace = run_scenario(scenario, record=record)
+        # a car is committed (crossing, then done, or a fallback car that
+        # goes) from its first CROSS_START or FALLBACK_GO on
+        start: dict[int, int] = {}
+        for slot, uid, event in trace.events:
+            if event in ("CROSS_START", "FALLBACK_GO"):
+                start.setdefault(uid, slot)
+        last = trace.slots_run
+        if len(start) == len(scenario.vehicles):
+            last = max(start.values())
+        assert len(sensed) == last
+        assert max(stepped) <= last and max(exchanged) <= last
 
     @settings(max_examples=100, deadline=None)
     @given(scenario=random_scenarios())

@@ -425,32 +425,66 @@ class TestExitRule:
 
 class TestAfterTheLastStart:
     """Once every car is CROSSING, DONE or a going fallback car, no car is
-    sensed or steps: a slot runs the exit rule, the integration and the
-    safety log, and what those slots record is unchanged."""
+    sensed, steps, sends or hears: the slot loop ends, and each car drives
+    alone by the exit rule, its control law and the integration. Their
+    exits, cells and rows merge slot-major in uid order and end with the
+    run's last slot, and what they record is unchanged."""
 
-    def test_a_done_car_still_in_the_box_counts(self):
-        # car 1's estimate runs 5 m ahead, so it is DONE while still in S2;
-        # car 2, out of sensing range, crosses behind it into S2
+    @pytest.mark.parametrize(
+        "car_2, events, violations, crossing_slots, slots_run",
+        [
+            # car 2, out of sensing range, crosses behind car 1 into S2
+            (
+                VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=146.5, v=10.0, a=0.0),
+                [(43, 1, "CROSS_START"), (50, 1, "EXITED"), (51, 2, "CROSS_START"),
+                 (58, 2, "EXITED")],
+                [(slot, "S2", (1, 2)) for slot in range(50, 54)],
+                (7, 7),
+                58,
+            ),
+            # car 2 exits at slot 52 while car 1 is on S2 through slot 53:
+            # the run, car 1's cells and its rows all end at slot 52
+            (
+                VehicleSpec(uid=2, route=Route("H2R", "H3L"), x=149.0, v=10.0, a=0.0),
+                [(43, 1, "CROSS_START"), (49, 2, "CROSS_START"), (50, 1, "EXITED"),
+                 (52, 2, "EXITED")],
+                [(50, "S2", (1, 2))],
+                (6, 3),
+                52,
+            ),
+        ],
+        ids=["car 2 exits last", "the run ends with car 1 in the box"],
+    )
+    def test_a_done_car_still_in_the_box_counts(
+        self, car_2, events, violations, crossing_slots, slots_run
+    ):
+        # car 1's estimate runs 5 m ahead, so it is DONE while still in S2
         scenario = Scenario(
             vehicles=(
                 VehicleSpec(uid=1, route=Route("H1R", "H3L"), x=150.0, v=10.0, a=0.0, x_est=155.0),
-                VehicleSpec(uid=2, route=Route("H2R", "H4L"), x=146.5, v=10.0, a=0.0),
+                car_2,
             ),
             sensing_radius=1.0,
         )
         trace = run_scenario(scenario)
-        assert trace.events == [
-            (43, 1, "CROSS_START"), (50, 1, "EXITED"), (51, 2, "CROSS_START"), (58, 2, "EXITED"),
-        ]
-        # from slot 52 on, every car runs only the exit rule
-        assert trace.violations == [(slot, "S2", (1, 2)) for slot in range(50, 54)]
+        assert trace.events == events
+        assert trace.violations == violations
         assert check_safety(trace) == trace.violations
-        for uid in (1, 2):
+        assert trace.slots_run == slots_run
+        assert len(trace.rows) == 2 * slots_run
+        assert [(r.slot, r.uid) for r in trace.rows] == [
+            (slot, uid) for slot in range(1, slots_run + 1) for uid in (1, 2)
+        ]
+        for uid, count in zip((1, 2), crossing_slots):
             occupied = [r.slot for r in trace.rows if r.uid == uid and r.occupancy]
-            assert trace.summary["vehicles"][str(uid)]["crossing_slots"] == len(occupied) == 7
-            assert max(occupied) > 52
+            assert trace.summary["vehicles"][str(uid)]["crossing_slots"] == len(occupied) == count
+        # car 1 is still in the box after the last start
+        last_start = max(slot for slot, _, name in events if name == "CROSS_START")
+        assert max(r.slot for r in trace.rows if r.uid == 1 and r.occupancy) > last_start
         lean = run_scenario(scenario, record=False)
-        assert (lean.violations, lean.summary) == (trace.violations, trace.summary)
+        assert (lean.events, lean.violations, lean.summary, lean.slots_run) == (
+            trace.events, trace.violations, trace.summary, trace.slots_run
+        )
 
     @pytest.mark.parametrize("name", ["fig5a", "allloss"])  # crossing / fallback cars
     def test_budget_ends_after_the_last_start(self, name):
