@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .channel import CHANNEL_TYPES, ChannelModel
 from .kinematics import IntersectionGeometry, Route
-from .sim import Scenario, ScenarioError, VehicleSpec
+from .sim import Scenario, ScenarioError, VehicleSpec, rewrite
 
 SCHEMA_VERSION = 1
 
@@ -41,7 +41,10 @@ def channel_from_dict(d: dict) -> ChannelModel:
     model = CHANNEL_TYPES.get(d.get("type"))
     if model is None:
         raise ScenarioError(f"unknown channel type {d.get('type')!r}")
-    return model.from_dict(d, _number, _integer)
+    try:  # a model reads its required fields by key
+        return model.from_dict(d, _number, _integer)
+    except KeyError as exc:
+        raise ScenarioError(f"missing field {exc.args[0]} in channel") from exc
 
 
 def _object(data: dict, key: str) -> dict:
@@ -93,12 +96,17 @@ def scenario_from_dict(data: dict) -> Scenario:
         kwargs = _read(data, _TOP) | _read(_object(data, "params"), _PARAMS)
         if "channel" in data:
             kwargs["channel"] = channel_from_dict(_object(data, "channel"))
+        if "vehicles" not in data:
+            raise ScenarioError("missing field vehicles at the top level")
         vehicles = data["vehicles"]
         if not isinstance(vehicles, list):
             raise ScenarioError("vehicles must be a JSON array")
         for i, v in enumerate(vehicles):
             if not isinstance(v, dict):
                 raise ScenarioError(f"vehicles[{i}] must be a JSON object")
+            for key in ("clane", "nlane"):
+                if key not in v:
+                    raise ScenarioError(f"missing field {key} in vehicles[{i}]")
         scenario = Scenario(
             vehicles=tuple(
                 VehicleSpec(route=Route(v["clane"], v["nlane"]), **_read(v, _VEHICLE))
@@ -169,7 +177,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def save_scenario(s: Scenario, path) -> None:
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         json.dump(scenario_to_dict(s), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -20,10 +20,13 @@ slot. Identical scenario plus seed always produces a byte-identical trace.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -179,7 +182,10 @@ TRACE_COLUMNS = SlotRecord._fields
 @dataclass
 class SimTrace:
     """One run: the recorded rows, the event log, and the summary folded
-    from the log. ``events`` is a slot-ordered list of ``(slot, uid, name)``:
+    from the log. ``records`` holds each row as the engine's plain tuple of
+    the ``SlotRecord`` fields, slot-major in uid order; ``rows`` makes them
+    ``SlotRecord``s on first access. ``events`` is a slot-ordered list of
+    ``(slot, uid, name)``:
 
     SWITCH_V2V   leaves sensor driving for an ENTER round (own decision or pulled in)
     FIRST_ENTER  first exchange slot of a round: its first ENTER goes out
@@ -192,11 +198,15 @@ class SimTrace:
     """
 
     scenario: Scenario
-    rows: list[SlotRecord]
+    records: list[tuple]
     events: list[tuple[int, int, str]]
     summary: dict
     violations: list[tuple[int, str, tuple[int, int]]]
     slots_run: int
+
+    @functools.cached_property
+    def rows(self) -> list[SlotRecord]:
+        return list(map(functools.partial(tuple.__new__, SlotRecord), self.records))
 
 
 # Heading unit vectors per approach (0..3 counterclockwise), used only for
@@ -292,7 +302,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     rngs = {}
     if scenario.channel.uses_rng:
         rngs = {u: ReceiverStream(scenario.seed, u) for u in uids}
-    # per car, SlotRecord fields, made SlotRecords once at the end
+    # per car, its rows as tuples of the SlotRecord fields
     rows: dict[int, list[tuple]] = {u: [] for u in uids} if record else {}
     events: list[tuple[int, int, str]] = []
     violations: list[tuple[int, str, tuple[int, int]]] = []
@@ -394,10 +404,7 @@ def run_scenario(scenario: Scenario, record: bool = True) -> SimTrace:
     return SimTrace(
         scenario=scenario,
         # slot-major, in uid order: every car has a row in every slot
-        rows=list(map(
-            functools.partial(tuple.__new__, SlotRecord),
-            itertools.chain.from_iterable(zip(*rows.values())),
-        )),
+        records=list(itertools.chain.from_iterable(zip(*rows.values()))),
         events=events,
         summary=summary,
         violations=violations,
@@ -790,35 +797,56 @@ def check_safety(trace: SimTrace) -> list[tuple[int, str, tuple[int, int]]]:
     is independent of the engine's own bookkeeping; traces recorded without
     rows fall back to the engine's inline log.
     """
-    if not trace.rows:
+    if not trace.records:
         return list(trace.violations)
     geo = trace.scenario.geometry
-    x_col = geo.x_col
-    routes = {s.uid: s.route for s in trace.scenario.vehicles}
+    x_col, w = geo.x_col, geo.w
+    paths = {s.uid: geo.occupancy(s.route) for s in trace.scenario.vehicles}
     by_slot: dict[int, dict[str, int]] = {}
     out = []
-    for row in trace.rows:
-        if row.x < x_col:
+    for row in trace.records:
+        x = row[3]
+        if x < x_col:
             continue  # short of the box: on no cell
-        cell = geo.cell_at(routes[row.uid], row.x)
+        slot, uid = row[0], row[1]
+        cell = path_cell(paths[uid], x_col, w, x)
         if cell is None:
             continue
-        cells = by_slot.setdefault(row.slot, {})
+        cells = by_slot.setdefault(slot, {})
         if cell in cells:
-            out.append((row.slot, cell, (cells[cell], row.uid)))
+            out.append((slot, cell, (cells[cell], uid)))
         else:
-            cells[cell] = row.uid
+            cells[cell] = uid
     return out
 
 
+@contextlib.contextmanager
+def rewrite(path, newline=None):
+    """A text file to write ``path`` anew, as ``open(path, "w")`` gives, but
+    cut to the written length on exit instead of emptied first: emptying a
+    file that holds data frees its blocks, and on some file systems (ext4)
+    closing it then starts writeback, several times the cost of the write.
+    A path that is no regular file (a pipe, ``/dev/null``) is not cut."""
+    with open(path, "w", newline=newline, opener=_open_uncut) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
+def _open_uncut(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_trace_csv(trace: SimTrace, path) -> None:
-    with open(path, "w", newline="") as fh:  # floats by repr; the rest are str or int
+    with rewrite(path, newline="") as fh:  # floats by repr; the rest are str or int
         fh.write(",".join(TRACE_COLUMNS) + "\n" + "".join([
             f'{s},{u},{m},{x!r},{v!r},{a!r},{f},"{se}","{re}","{lo}",{oc},{ac}\n'
-            for s, u, m, x, v, a, f, se, re, lo, oc, ac in trace.rows
+            for s, u, m, x, v, a, f, se, re, lo, oc, ac in trace.records
         ]))
 
 
 def write_summary_json(trace: SimTrace, path) -> None:
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         fh.write(json.dumps(trace.summary, indent=2, sort_keys=True) + "\n")

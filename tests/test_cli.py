@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import os
 import re
 import tempfile
 from dataclasses import replace
@@ -14,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icsim.cli import EXIT_CONFIG, EXIT_LIVENESS, EXIT_OK, build_parser, main
-from icsim.scenarios import bundled_scenario, resolve_scenario, scenario_to_dict
-from icsim.sim import run_scenario, write_trace_csv
+from icsim.scenarios import bundled_scenario, resolve_scenario, save_scenario, scenario_to_dict
+from icsim.sim import run_scenario, write_summary_json, write_trace_csv
 
 
 def read_csv(path):
@@ -244,6 +245,26 @@ class TestMalformedScenario:
         assert run_simulate(data, tmp_path) == EXIT_CONFIG
         assert assert_one_line_error(capsys) == f"error: unknown field {key}\n"
 
+    @pytest.mark.parametrize(
+        "path,channel,error",
+        [
+            (("vehicles",), None, "missing field vehicles at the top level"),
+            (("vehicles", 0, "clane"), None, "missing field clane in vehicles[0]"),
+            (("vehicles", 1, "nlane"), None, "missing field nlane in vehicles[1]"),
+            (("channel", "lambda"), {"type": "distance_iid", "lambda": 0.0013},
+             "missing field lambda in channel"),
+            (("channel", "xi"), {"type": "correlated", "lambda": 0.0013, "xi": 0.5},
+             "missing field xi in channel"),
+        ],
+        ids=repr,
+    )
+    def test_missing_field(self, path, channel, error, tmp_path, capsys):
+        data = fig5b(channel=channel)
+        del _parent(data, path)[path[-1]]
+        assert run_simulate(data, tmp_path) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+        assert assert_one_line_error(capsys) == f"error: {error}\n"
+
     @pytest.mark.parametrize("path,key", [((), "F"), (("geometry",), "w"), (("vehicles", 1), "x")])
     def test_duplicate_key(self, path, key, tmp_path, capsys):
         data = fig5b()
@@ -357,6 +378,45 @@ def mutated_scenarios(draw):
 def test_any_mutated_scenario_gives_an_exit_code(data):
     with tempfile.TemporaryDirectory() as tmp:
         assert run_simulate(data, Path(tmp)) in (0, 1, 2, 3)
+
+
+def _fit_pdr(out):
+    samples = out.parent / "samples.csv"
+    samples.write_text("distance_m,pdr\n" + "".join(f"{d},{0.99 ** d!r}\n" for d in (50, 150, 300)))
+    return main(["fit-pdr", "--input", str(samples), "--out", str(out)])
+
+
+# each file icsim writes: the call that writes it into a directory
+WRITERS = {
+    "trace.csv": lambda out: write_trace_csv(run_scenario(bundled_scenario("fig5a")), out / "trace.csv"),
+    "summary.json": lambda out: write_summary_json(
+        run_scenario(bundled_scenario("fig5a")), out / "summary.json"
+    ),
+    "fig5a.scenario.json": lambda out: save_scenario(
+        bundled_scenario("fig5a"), out / "fig5a.scenario.json"
+    ),
+    "delay_curve.csv": lambda out: main(["sweep-delay", "--out", str(out), "--d-max", "100"]),
+    "v2v_probability.csv": lambda out: main(["v2v-prob", "--out", str(out), "--F", "4"]),
+    "pdr_residuals.csv": _fit_pdr,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_a_rewrite_over_an_old_file_leaves_none_of_it(name, tmp_path, capsys):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    WRITERS[name](fresh)
+    expected = (fresh / name).read_bytes()
+    for junk in (b"#" * (2 * len(expected) + 100), b"#" * (len(expected) // 2)):
+        (old / name).write_bytes(junk)
+        WRITERS[name](old)
+        assert (old / name).read_bytes() == expected
+
+
+def test_a_file_that_is_no_regular_file_is_written_uncut():
+    # the cut at the written length applies to regular files only
+    save_scenario(bundled_scenario("fig5a"), os.devnull)
 
 
 class TestSweepDelay:

@@ -184,12 +184,24 @@ def test_every_scenario_file_is_pinned():
     assert files <= DIGESTS.keys()
 
 
+def _simulate(ref, out) -> tuple[int, str]:
+    rc = main(["simulate", "--scenario", ref, "--out", str(out)])
+    blob = (out / "trace.csv").read_bytes() + b"\0" + (out / "summary.json").read_bytes()
+    return rc, hashlib.sha256(blob).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_simulate_outputs_unchanged(name, tmp_path, capsys):
+    assert _simulate(_reference(name, tmp_path), tmp_path / "out") == DIGESTS[name]
+
+
+def test_a_rerun_into_one_out_rewrites_every_output(tmp_path, capsys):
+    # each case runs twice into the out of the case before it, whose files
+    # are longer or shorter than its own
     out = tmp_path / "out"
-    rc = main(["simulate", "--scenario", _reference(name, tmp_path), "--out", str(out)])
-    blob = (out / "trace.csv").read_bytes() + b"\0" + (out / "summary.json").read_bytes()
-    assert (rc, hashlib.sha256(blob).hexdigest()) == DIGESTS[name]
+    for name in sorted(DIGESTS):
+        ref = _reference(name, tmp_path)
+        assert [_simulate(ref, out), _simulate(ref, out)] == [DIGESTS[name]] * 2, name
 
 
 @pytest.mark.parametrize("case", range(len(MONTE_CARLO)))

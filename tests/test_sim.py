@@ -552,14 +552,15 @@ class TestRouteFacts:
 class TestSafetyChecker:
     def test_constructed_violation_is_flagged(self):
         # two conflicting straights placed in their shared cell (S2) in the
-        # same slot; the checker must notice regardless of how they got there
+        # same slot; the checker must notice regardless of how they got there.
+        # It reads the plain tuples a run records, not SlotRecords
         scenario = two_car(Perfect())
-        rows = [
-            SlotRecord(1, 1, "CROSSING", 201.0, 13.0, 0.0, 0, "", "", "", "S2", ""),
-            SlotRecord(1, 2, "CROSSING", 197.0, 13.0, 0.0, 0, "", "", "", "S2", ""),
+        records = [
+            (1, 1, "CROSSING", 201.0, 13.0, 0.0, 0, "", "", "", "S2", ""),
+            (1, 2, "CROSSING", 197.0, 13.0, 0.0, 0, "", "", "", "S2", ""),
         ]
         trace = SimTrace(
-            scenario=scenario, rows=rows, events=[], summary={}, violations=[], slots_run=1
+            scenario=scenario, records=records, events=[], summary={}, violations=[], slots_run=1
         )
         violations = check_safety(trace)
         assert violations == [(1, "S2", (1, 2))]
@@ -597,6 +598,22 @@ class TestSlotRecord:
     def test_fields_cannot_be_assigned(self, name):
         with pytest.raises(AttributeError):
             setattr(SlotRecord(**self.ROW), name, None)
+
+
+class TestRecordsAndRows:
+    """A trace keeps each row as the engine's plain tuple and makes the
+    ``SlotRecord``s only when ``rows`` is first read."""
+
+    def test_rows_are_the_records_made_slot_records_once(self):
+        trace = run_scenario(bundled_scenario("fig5a"))
+        assert trace.records and {type(t) for t in trace.records} == {tuple}
+        assert trace.rows == [SlotRecord(*t) for t in trace.records]
+        assert {type(r) for r in trace.rows} == {SlotRecord}
+        assert trace.rows is trace.rows
+
+    def test_both_empty_without_recording(self):
+        trace = run_scenario(bundled_scenario("fig5a"), record=False)
+        assert trace.records == [] and trace.rows == []
 
 
 class TestScenarioValidation:
