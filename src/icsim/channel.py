@@ -7,7 +7,8 @@ class carries its own behaviour: ``delivers``, its delivery law for one
 receiver and slot; ``burst_law``, the burst-length parameters the analytics
 average over; its JSON form (``to_dict``, read back through
 ``CHANNEL_TYPES`` by ``from_dict``, which takes the scenario loader's
-number and integer readers); and ``uses_rng``, whether it draws random numbers.
+number and integer readers, once the loader has found every field of
+``REQUIRED``); and ``uses_rng``, whether it draws random numbers.
 ``sample_delivery`` is the one delivery step of both exchange loops, and
 ``ReceiverStream`` the per-receiver random stream that the random models
 draw from: NumPy's ``default_rng([seed, uid])`` stream, in pure Python.
@@ -39,6 +40,7 @@ class Perfect:
     """Every message is delivered."""
 
     TYPE = "perfect"
+    REQUIRED = ()
     uses_rng = False
 
     def delivers(self, receiver, slot, links, prior_lost, rng) -> list[bool]:
@@ -61,6 +63,7 @@ class DistanceIID:
 
     lam: float
     TYPE = "distance_iid"
+    REQUIRED = ("lambda",)
     uses_rng = True
 
     def __post_init__(self):
@@ -89,6 +92,7 @@ class CorrelatedBurst:
     lam: float
     xi: float
     TYPE = "correlated"
+    REQUIRED = ("lambda", "xi")
     uses_rng = True
 
     def __post_init__(self):
@@ -122,6 +126,7 @@ class Scripted:
     losses: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     all_lost: frozenset[int] = field(default_factory=frozenset)
     TYPE = "scripted"
+    REQUIRED = ()
     uses_rng = False
 
     def delivers(self, receiver, slot, links, prior_lost, rng) -> list[bool]:

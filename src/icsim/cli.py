@@ -30,7 +30,7 @@ from .analytics import (
 from .channel import CorrelatedBurst, DistanceIID, pdr
 from .protocol import simulate_enter_round
 from .scenarios import BUNDLED, resolve_scenario
-from .sim import check_safety, rewrite, run_scenario, write_summary_json, write_trace_csv
+from .sim import check_safety, run_scenario, write_summary_json, write_trace_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -142,7 +142,7 @@ def cmd_sweep_delay(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with rewrite(path, newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["environment", "xi", "distance_m", "expected_delay_slots"]
         if args.trials:
@@ -185,7 +185,7 @@ def cmd_v2v_prob(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with rewrite(path, newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["environment", "distance_m", "xi", "F", "p_v2v"])
         for env, lam in ENVIRONMENTS:
@@ -214,7 +214,7 @@ def cmd_fit_pdr(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with rewrite(path, newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["distance_m", "pdr", "model_pdr", "residual"])
         for s in samples:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .channel import CHANNEL_TYPES, ChannelModel
 from .kinematics import IntersectionGeometry, Route
-from .sim import Scenario, ScenarioError, VehicleSpec, rewrite
+from .sim import Scenario, ScenarioError, VehicleSpec
 
 SCHEMA_VERSION = 1
 
@@ -41,10 +41,8 @@ def channel_from_dict(d: dict) -> ChannelModel:
     model = CHANNEL_TYPES.get(d.get("type"))
     if model is None:
         raise ScenarioError(f"unknown channel type {d.get('type')!r}")
-    try:  # a model reads its required fields by key
-        return model.from_dict(d, _number, _integer)
-    except KeyError as exc:
-        raise ScenarioError(f"missing field {exc.args[0]} in channel") from exc
+    _require(d, model.REQUIRED, "in channel")
+    return model.from_dict(d, _number, _integer)
 
 
 def _object(data: dict, key: str) -> dict:
@@ -76,6 +74,16 @@ _PARAMS = dict.fromkeys(("tau_th", "epsilon", "sigma_x", "d_margin", "sensing_ra
                          "resume_accel"), _number)
 _GEOMETRY = dict(x_s=_number, w=_number)
 _VEHICLE = dict(uid=_integer, x=_number, v=_number, a=_number, dx_bound=_number, x_est=_number)
+# The fields a scenario cannot leave out, per level; a channel model names
+# its own as REQUIRED.
+_REQUIRED_TOP = ("vehicles",)
+_REQUIRED_VEHICLE = ("uid", "clane", "nlane", "x", "v")
+
+
+def _require(data: dict, names: tuple, where: str) -> None:
+    for name in names:
+        if name not in data:
+            raise ScenarioError(f"missing field {name} {where}")
 
 
 def _read(data: dict, readers: dict) -> dict:
@@ -96,17 +104,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         kwargs = _read(data, _TOP) | _read(_object(data, "params"), _PARAMS)
         if "channel" in data:
             kwargs["channel"] = channel_from_dict(_object(data, "channel"))
-        if "vehicles" not in data:
-            raise ScenarioError("missing field vehicles at the top level")
+        _require(data, _REQUIRED_TOP, "at the top level")
         vehicles = data["vehicles"]
         if not isinstance(vehicles, list):
             raise ScenarioError("vehicles must be a JSON array")
         for i, v in enumerate(vehicles):
             if not isinstance(v, dict):
                 raise ScenarioError(f"vehicles[{i}] must be a JSON object")
-            for key in ("clane", "nlane"):
-                if key not in v:
-                    raise ScenarioError(f"missing field {key} in vehicles[{i}]")
+            _require(v, _REQUIRED_VEHICLE, f"in vehicles[{i}]")
         scenario = Scenario(
             vehicles=tuple(
                 VehicleSpec(route=Route(v["clane"], v["nlane"]), **_read(v, _VEHICLE))
@@ -177,7 +182,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def save_scenario(s: Scenario, path) -> None:
-    with rewrite(path) as fh:
+    with open(path, "w") as fh:
         json.dump(scenario_to_dict(s), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -20,13 +20,10 @@ slot. Identical scenario plus seed always produces a byte-identical trace.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
 import math
-import os
-import stat
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -820,27 +817,8 @@ def check_safety(trace: SimTrace) -> list[tuple[int, str, tuple[int, int]]]:
     return out
 
 
-@contextlib.contextmanager
-def rewrite(path, newline=None):
-    """A text file to write ``path`` anew, as ``open(path, "w")`` gives, but
-    cut to the written length on exit instead of emptied first: emptying a
-    file that holds data frees its blocks, and on some file systems (ext4)
-    closing it then starts writeback, several times the cost of the write.
-    A path that is no regular file (a pipe, ``/dev/null``) is not cut."""
-    with open(path, "w", newline=newline, opener=_open_uncut) as fh:
-        try:
-            yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
-
-
-def _open_uncut(path, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def write_trace_csv(trace: SimTrace, path) -> None:
-    with rewrite(path, newline="") as fh:  # floats by repr; the rest are str or int
+    with open(path, "w", newline="") as fh:  # floats by repr; the rest are str or int
         fh.write(",".join(TRACE_COLUMNS) + "\n" + "".join([
             f'{s},{u},{m},{x!r},{v!r},{a!r},{f},"{se}","{re}","{lo}",{oc},{ac}\n'
             for s, u, m, x, v, a, f, se, re, lo, oc, ac in trace.records
@@ -848,5 +826,5 @@ def write_trace_csv(trace: SimTrace, path) -> None:
 
 
 def write_summary_json(trace: SimTrace, path) -> None:
-    with rewrite(path) as fh:
+    with open(path, "w") as fh:
         fh.write(json.dumps(trace.summary, indent=2, sort_keys=True) + "\n")

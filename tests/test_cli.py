@@ -4,7 +4,6 @@ import copy
 import csv
 import json
 import math
-import os
 import re
 import tempfile
 from dataclasses import replace
@@ -251,6 +250,9 @@ class TestMalformedScenario:
             (("vehicles",), None, "missing field vehicles at the top level"),
             (("vehicles", 0, "clane"), None, "missing field clane in vehicles[0]"),
             (("vehicles", 1, "nlane"), None, "missing field nlane in vehicles[1]"),
+            (("vehicles", 1, "x"), None, "missing field x in vehicles[1]"),
+            (("vehicles", 0, "uid"), None, "missing field uid in vehicles[0]"),
+            (("vehicles", 0, "v"), None, "missing field v in vehicles[0]"),
             (("channel", "lambda"), {"type": "distance_iid", "lambda": 0.0013},
              "missing field lambda in channel"),
             (("channel", "xi"), {"type": "correlated", "lambda": 0.0013, "xi": 0.5},
@@ -412,11 +414,6 @@ def test_a_rewrite_over_an_old_file_leaves_none_of_it(name, tmp_path, capsys):
         (old / name).write_bytes(junk)
         WRITERS[name](old)
         assert (old / name).read_bytes() == expected
-
-
-def test_a_file_that_is_no_regular_file_is_written_uncut():
-    # the cut at the written length applies to regular files only
-    save_scenario(bundled_scenario("fig5a"), os.devnull)
 
 
 class TestSweepDelay:
